@@ -1,10 +1,10 @@
 // Concurrent scaling of the protected front door: sweeps 1/2/4/8
-// threads over uniform and Zipf workloads against (a) the seed
-// global-mutex wrapper (ConcurrencyMode::kGlobalLock) and (b) the
-// sharded concurrent path (ConcurrencyMode::kSharded), and reports
-// per-thread + aggregate GetByKey throughput and the delay-accuracy
-// drift of the epoch-batched concurrent stats spine against a serial
-// tracker oracle.
+// threads over uniform and Zipf workloads against (a) the global-mutex
+// baseline (bench/serial_baseline.h: the serial ProtectedDatabase
+// behind one mutex) and (b) the sharded ConcurrentProtectedDatabase,
+// and reports per-thread + aggregate GetByKey throughput and the
+// delay-accuracy drift of the epoch-batched concurrent stats spine
+// against a serial tracker oracle.
 //
 // This is the end-to-end executable form of the paper's section 2.4
 // parallel-attack model: k registered identities extracting disjoint
@@ -38,6 +38,7 @@
 #include "obs/exposition.h"
 #include "obs/metrics.h"
 #include "openloop.h"
+#include "serial_baseline.h"
 #include "stats/count_tracker.h"
 #include "workload/key_generator.h"
 
@@ -76,17 +77,16 @@ ProtectedDatabaseOptions MakeDbOptions() {
   opts.decay_per_request = 1.0;
   // Tiny pools: random point lookups through the (single-threaded)
   // storage engine nearly always miss the buffer pool, as in the
-  // Table 5 overhead experiment's disk regime. Both modes share this
-  // configuration; the sharded path escapes it through its lock-striped
-  // read-through row cache, the global-mutex wrapper cannot.
+  // Table 5 overhead experiment's disk regime. Both arms share this
+  // configuration; the sharded door escapes it through its lock-striped
+  // read-through row cache, the global-mutex baseline cannot.
   opts.table_options.heap_pool_pages = 8;
   opts.table_options.index_pool_pages = 8;
   return opts;
 }
 
-ConcurrentDatabaseOptions MakeConcurrentOptions(ConcurrencyMode mode) {
+ConcurrentDatabaseOptions MakeConcurrentOptions() {
   ConcurrentDatabaseOptions copts;
-  copts.mode = mode;
   copts.num_shards = 64;
   copts.stats_shards = 64;
   copts.epoch_batch = 256;
@@ -115,31 +115,12 @@ std::vector<std::vector<int64_t>> MakeSequences(bool zipf, int threads) {
   return seqs;
 }
 
-RunResult RunConfig(const fs::path& base, ConcurrencyMode mode,
-                    const std::vector<std::vector<int64_t>>& seqs,
-                    obs::MetricRegistry* metrics) {
-  static int run_id = 0;
-  const fs::path dir = base / ("run_" + std::to_string(run_id++));
-  fs::create_directories(dir);
-
-  RealClock clock;
-  ConcurrentDatabaseOptions copts = MakeConcurrentOptions(mode);
-  copts.metrics = metrics;
-  auto opened = ConcurrentProtectedDatabase::Open(
-      dir.string(), "items", &clock, MakeDbOptions(), copts);
-  if (!opened.ok()) std::abort();
-  auto db = std::move(*opened);
-  if (!db->ExecuteSql("CREATE TABLE items (id INT PRIMARY KEY, v DOUBLE)")
-           .ok()) {
-    std::abort();
-  }
-  for (int i = 1; i <= kRows; ++i) {
-    if (!db->BulkLoadRow({Value(static_cast<int64_t>(i)), Value(i * 0.5)})
-             .ok()) {
-      std::abort();
-    }
-  }
-  if (!db->Checkpoint().ok()) std::abort();
+/// Loads, warms and drives one door; fills everything but the
+/// door-specific cache counters.
+template <typename Door>
+RunResult TimeConfig(Door* db,
+                     const std::vector<std::vector<int64_t>>& seqs) {
+  bench::LoadItems(db, kRows);
 
   // Warmup: touch every key once (fills buffer pools / row cache) --
   // the oracle replays this phase too.
@@ -171,10 +152,36 @@ RunResult RunConfig(const fs::path& base, ConcurrencyMode mode,
   res.qps = total_ops / elapsed;
   res.per_thread_qps = res.qps / threads;
   for (double d : delays) res.total_delay += d;
-  res.cache_hits = db->row_cache_hits();
-  res.cache_misses = db->row_cache_misses();
-  res.epoch_flushes = db->stats_epoch_flushes();
-  db.reset();
+  return res;
+}
+
+/// One sweep point on the sharded door (`baseline` false) or the
+/// one-mutex serial baseline (`baseline` true), in a fresh directory.
+RunResult RunConfig(const fs::path& base, bool baseline,
+                    const std::vector<std::vector<int64_t>>& seqs,
+                    obs::MetricRegistry* metrics) {
+  static int run_id = 0;
+  const fs::path dir = base / ("run_" + std::to_string(run_id++));
+  fs::create_directories(dir);
+
+  RealClock clock;
+  RunResult res;
+  if (baseline) {
+    auto db = bench::SerialBaseline::Open(dir.string(), "items", &clock,
+                                          MakeDbOptions());
+    res = TimeConfig(db.get(), seqs);
+  } else {
+    ConcurrentDatabaseOptions copts = MakeConcurrentOptions();
+    copts.metrics = metrics;
+    auto opened = ConcurrentProtectedDatabase::Open(
+        dir.string(), "items", &clock, MakeDbOptions(), copts);
+    if (!opened.ok()) std::abort();
+    auto db = std::move(*opened);
+    res = TimeConfig(db.get(), seqs);
+    res.cache_hits = db->row_cache_hits();
+    res.cache_misses = db->row_cache_misses();
+    res.epoch_flushes = db->stats_epoch_flushes();
+  }
   fs::remove_all(dir);
   return res;
 }
@@ -212,19 +219,10 @@ bench::OpenLoopStats RunOpenLoopSharded(const fs::path& base) {
   RealClock clock;
   auto opened = ConcurrentProtectedDatabase::Open(
       dir.string(), "items", &clock, MakeDbOptions(),
-      MakeConcurrentOptions(ConcurrencyMode::kSharded));
+      MakeConcurrentOptions());
   if (!opened.ok()) std::abort();
   auto db = std::move(*opened);
-  if (!db->ExecuteSql("CREATE TABLE items (id INT PRIMARY KEY, v DOUBLE)")
-           .ok()) {
-    std::abort();
-  }
-  for (int i = 1; i <= kRows; ++i) {
-    if (!db->BulkLoadRow({Value(static_cast<int64_t>(i)), Value(i * 0.5)})
-             .ok()) {
-      std::abort();
-    }
-  }
+  bench::LoadItems(db.get(), kRows);
   for (int i = 1; i <= kRows; ++i) {
     if (!db->GetByKey(i).ok()) std::abort();
   }
@@ -275,25 +273,23 @@ int main() {
   char row_buf[512];
 
   for (bool zipf : {false, true}) {
-    for (ConcurrencyMode mode :
-         {ConcurrencyMode::kGlobalLock, ConcurrencyMode::kSharded}) {
+    for (bool baseline : {true, false}) {
+      const char* mode = baseline ? "global" : "sharded";
       for (int threads : thread_counts) {
         const auto seqs = MakeSequences(zipf, threads);
         obs::MetricRegistry* reg = nullptr;
-        if (threads == 8 && mode == ConcurrencyMode::kSharded) {
+        if (threads == 8 && !baseline) {
           reg = zipf ? &reg_zipf8 : &reg_uniform8;
         }
-        const RunResult r = RunConfig(base, mode, seqs, reg);
+        const RunResult r = RunConfig(base, baseline, seqs, reg);
         const double hit_pct =
             r.cache_hits + r.cache_misses == 0
                 ? 0.0
                 : 100.0 * static_cast<double>(r.cache_hits) /
                       static_cast<double>(r.cache_hits + r.cache_misses);
         std::printf("%-9s %-8s %-8d %-12.0f %-14.0f %-12.1f %-10llu\n",
-                    zipf ? "zipf" : "uniform",
-                    mode == ConcurrencyMode::kGlobalLock ? "global"
-                                                         : "sharded",
-                    threads, r.qps, r.per_thread_qps, hit_pct,
+                    zipf ? "zipf" : "uniform", mode, threads, r.qps,
+                    r.per_thread_qps, hit_pct,
                     static_cast<unsigned long long>(r.epoch_flushes));
 
         std::snprintf(
@@ -303,21 +299,16 @@ int main() {
             "\"row_cache_hits\": %llu, \"row_cache_misses\": %llu, "
             "\"epoch_flushes\": %llu}",
             json_rows.empty() ? "" : ",\n", zipf ? "zipf" : "uniform",
-            mode == ConcurrencyMode::kGlobalLock ? "global" : "sharded",
-            threads, r.qps, r.per_thread_qps,
+            mode, threads, r.qps, r.per_thread_qps,
             static_cast<unsigned long long>(r.cache_hits),
             static_cast<unsigned long long>(r.cache_misses),
             static_cast<unsigned long long>(r.epoch_flushes));
         json_rows.append(row_buf);
 
         if (!zipf && threads == 8) {
-          if (mode == ConcurrencyMode::kGlobalLock) {
-            global8_uniform = r.qps;
-          } else {
-            sharded8_uniform = r.qps;
-          }
+          (baseline ? global8_uniform : sharded8_uniform) = r.qps;
         }
-        if (mode == ConcurrencyMode::kSharded) {
+        if (!baseline) {
           const double oracle = SerialOracleDelay(seqs);
           const double drift =
               oracle <= 0 ? 0.0

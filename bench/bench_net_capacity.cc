@@ -100,7 +100,7 @@ struct Served {
 void Serve(Served* out, const fs::path& dir, RealClock* clock,
            obs::MetricRegistry* metrics, double stall_lo, double stall_hi,
            double beta, double scale, net::TarpitServerOptions sopts,
-           ConcurrencyMode mode = ConcurrencyMode::kSharded) {
+           size_t epoch_batch = ConcurrentDatabaseOptions{}.epoch_batch) {
   fs::create_directories(dir);
   ProtectedDatabaseOptions dopts;
   dopts.mode = stall_hi > 0 ? DelayMode::kAccessPopularity : DelayMode::kNone;
@@ -109,7 +109,7 @@ void Serve(Served* out, const fs::path& dir, RealClock* clock,
   dopts.popularity.bounds = {stall_lo, stall_hi};
   dopts.decay_per_request = 1.0;
   ConcurrentDatabaseOptions copts;
-  copts.mode = mode;
+  copts.epoch_batch = epoch_batch;
   copts.serve_delays = true;
   copts.async_stalls = true;
   copts.metrics = metrics;
@@ -297,14 +297,14 @@ DriftResult RunDrift(const fs::path& dir, int ops) {
   net::TarpitServerOptions sopts;
   sopts.keepalive_interval_seconds = 0.02;
   Served served;
-  // kGlobalLock: stripe-local popularity stats diverge from a serial
-  // replay (each stripe sees 1/Nth of the traffic); the global-lock
-  // path is the exact-accounting baseline the oracle models.
+  // epoch_batch = 1: every access merges into the rank index before
+  // it is priced, so the door charges exactly what the serial oracle
+  // below models (at larger epochs rank and f_max run one epoch stale).
   Serve(&served, dir, &clock, &metrics,
         oracle_opts.popularity.bounds.min_seconds,
         oracle_opts.popularity.bounds.max_seconds,
         oracle_opts.popularity.beta, oracle_opts.popularity.scale, sopts,
-        ConcurrencyMode::kGlobalLock);
+        /*epoch_batch=*/1);
   auto* db = served.db.get();
 
   Rng rng(0xD21F7u);

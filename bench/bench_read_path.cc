@@ -3,7 +3,8 @@
 //
 //   1. 8-thread point-read throughput, sharded front door (thread-safe
 //      sharded buffer pool + shared storage lock + striped row cache)
-//      vs the exclusive-lock baseline (ConcurrencyMode::kGlobalLock).
+//      vs the exclusive-lock baseline (bench/serial_baseline.h: the
+//      serial ProtectedDatabase behind one mutex).
 //      Target: >= 2x (CI gates at >= 1.5x to absorb runner noise).
 //   2. Plan-cache p50: repeated point-lookup SELECT latency with the
 //      statement cache on vs off (lexer -> parser -> planner skipped on
@@ -38,6 +39,7 @@
 #include "obs/exposition.h"
 #include "obs/metrics.h"
 #include "openloop.h"
+#include "serial_baseline.h"
 #include "stats/count_tracker.h"
 #include "workload/key_generator.h"
 
@@ -78,11 +80,10 @@ ProtectedDatabaseOptions MakeDelayOptions() {
 }
 
 std::unique_ptr<ConcurrentProtectedDatabase> OpenConcurrent(
-    const fs::path& dir, ConcurrencyMode mode, size_t epoch_batch,
-    Clock* clock, obs::MetricRegistry* metrics) {
+    const fs::path& dir, size_t epoch_batch, Clock* clock,
+    obs::MetricRegistry* metrics) {
   fs::create_directories(dir);
   ConcurrentDatabaseOptions copts;
-  copts.mode = mode;
   copts.num_shards = 64;
   copts.stats_shards = 64;
   copts.epoch_batch = epoch_batch;
@@ -92,17 +93,7 @@ std::unique_ptr<ConcurrentProtectedDatabase> OpenConcurrent(
       dir.string(), "items", clock, MakeDelayOptions(), copts);
   if (!opened.ok()) std::abort();
   auto db = std::move(*opened);
-  if (!db->ExecuteSql("CREATE TABLE items (id INT PRIMARY KEY, v DOUBLE)")
-           .ok()) {
-    std::abort();
-  }
-  for (int i = 1; i <= kRows; ++i) {
-    if (!db->BulkLoadRow({Value(static_cast<int64_t>(i)), Value(i * 0.5)})
-             .ok()) {
-      std::abort();
-    }
-  }
-  if (!db->Checkpoint().ok()) std::abort();
+  bench::LoadItems(db.get(), kRows);
   return db;
 }
 
@@ -125,21 +116,17 @@ std::vector<std::vector<int64_t>> MakeSequences(bool zipf, int threads) {
   return seqs;
 }
 
-/// Part 1: 8-thread GetByKey throughput for one mode.
-double RunThroughput(const fs::path& base, ConcurrencyMode mode,
-                     const std::vector<std::vector<int64_t>>& seqs) {
-  static int run_id = 0;
-  const fs::path dir = base / ("tp_" + std::to_string(run_id++));
-  RealClock clock;
-  auto db = OpenConcurrent(dir, mode, /*epoch_batch=*/256, &clock,
-                           nullptr);
+/// Part 1: 8-thread GetByKey throughput through one door.
+template <typename Door>
+double TimeReads(Door* db, const std::vector<std::vector<int64_t>>& seqs) {
   for (int i = 1; i <= kRows; ++i) {  // Warm pools / row cache.
     if (!db->GetByKey(i).ok()) std::abort();
   }
+  RealClock clock;
   const int64_t start = clock.NowMicros();
   std::vector<std::thread> workers;
   for (const auto& seq : seqs) {
-    workers.emplace_back([&db, &seq] {
+    workers.emplace_back([db, &seq] {
       for (int64_t key : seq) {
         if (!db->GetByKey(key).ok()) std::abort();
       }
@@ -147,9 +134,28 @@ double RunThroughput(const fs::path& base, ConcurrencyMode mode,
   }
   for (auto& w : workers) w.join();
   const double elapsed = (clock.NowMicros() - start) / 1e6;
-  db.reset();
-  fs::remove_all(dir);
   return static_cast<double>(seqs.size()) * kOpsPerThread / elapsed;
+}
+
+/// Part 1 on the concurrent door (`baseline` false) or the one-mutex
+/// serial baseline (`baseline` true), each in a fresh directory.
+double RunThroughput(const fs::path& base, bool baseline,
+                     const std::vector<std::vector<int64_t>>& seqs) {
+  static int run_id = 0;
+  const fs::path dir = base / ("tp_" + std::to_string(run_id++));
+  RealClock clock;
+  double qps = 0.0;
+  if (baseline) {
+    auto db = bench::SerialBaseline::Open(dir.string(), "items", &clock,
+                                          MakeDelayOptions());
+    bench::LoadItems(db.get(), kRows);
+    qps = TimeReads(db.get(), seqs);
+  } else {
+    auto db = OpenConcurrent(dir, /*epoch_batch=*/256, &clock, nullptr);
+    qps = TimeReads(db.get(), seqs);
+  }
+  fs::remove_all(dir);
+  return qps;
 }
 
 /// Part 2: p50 of repeated point-lookup SELECT latency through the
@@ -209,8 +215,7 @@ double RunDrift(const fs::path& base,
   RealClock clock;
   // epoch_batch=1: every access merges into the rank index before the
   // next, so execution order equals oracle order exactly.
-  auto db = OpenConcurrent(dir, ConcurrencyMode::kSharded,
-                           /*epoch_batch=*/1, &clock, nullptr);
+  auto db = OpenConcurrent(dir, /*epoch_batch=*/1, &clock, nullptr);
   for (int i = 1; i <= kRows; ++i) {
     if (!db->GetByKey(i).ok()) std::abort();
   }
@@ -243,8 +248,7 @@ double RunDrift(const fs::path& base,
 bench::OpenLoopStats RunOpenLoopReads(const fs::path& base) {
   const fs::path dir = base / "openloop";
   RealClock clock;
-  auto db = OpenConcurrent(dir, ConcurrencyMode::kSharded,
-                           /*epoch_batch=*/256, &clock, nullptr);
+  auto db = OpenConcurrent(dir, /*epoch_batch=*/256, &clock, nullptr);
   for (int i = 1; i <= kRows; ++i) {
     if (!db->GetByKey(i).ok()) std::abort();
   }
@@ -339,10 +343,8 @@ int main() {
 
   // 1. 8-thread read throughput, sharded vs exclusive-lock baseline.
   const auto seqs = MakeSequences(/*zipf=*/false, /*threads=*/8);
-  const double qps_global =
-      RunThroughput(base, ConcurrencyMode::kGlobalLock, seqs);
-  const double qps_sharded =
-      RunThroughput(base, ConcurrencyMode::kSharded, seqs);
+  const double qps_global = RunThroughput(base, /*baseline=*/true, seqs);
+  const double qps_sharded = RunThroughput(base, /*baseline=*/false, seqs);
   const double speedup = qps_global <= 0 ? 0.0 : qps_sharded / qps_global;
   std::printf("read@8t: sharded %.0f qps vs exclusive-lock %.0f qps -> "
               "%.2fx (target >= 2.0x) %s\n",

@@ -21,6 +21,11 @@ uint64_t Mix(uint64_t x) {
   return x ^ (x >> 31);
 }
 
+/// Chain-map shards in the version store. Sized like the row-cache
+/// stripes: every GetByKey probes one, so striping scales with the
+/// read side, not the single-leader write side.
+constexpr size_t kVersionStoreStripes = 64;
+
 /// RAII in-flight-queries marker backing the unsafe_inner() debug
 /// guard: covers the computation phase (not the stall).
 class InFlightMark {
@@ -104,48 +109,43 @@ ConcurrentProtectedDatabase::ConcurrentProtectedDatabase(
   reads_need_rank_ = (mode == DelayMode::kAccessPopularity ||
                       mode == DelayMode::kCombinedMax) &&
                      inner_->options().popularity.beta != 0.0;
-  if (concurrent_options_.mode == ConcurrencyMode::kSharded) {
-    ConcurrentCountTrackerOptions topts;
-    topts.num_shards = concurrent_options_.stats_shards;
-    topts.epoch_batch = concurrent_options_.epoch_batch;
-    topts.rank_reads = reads_need_rank_;
-    stats_tracker_ = std::make_unique<ConcurrentCountTracker>(
-        inner_->access_tracker(), topts);
-    if (inner_->count_cache() != nullptr) {
-      // Epoch merges double as the persistence batch: the same deltas
-      // that enter the rank index go to the write-behind count cache.
-      // Called under the exclusive stats spine; takes storage_mu_
-      // (spine -> storage is the global lock order).
-      stats_tracker_->set_flush_hook(
-          [this](const std::vector<std::pair<int64_t, uint64_t>>& batch) {
-            // Storage WRITE: exclusive against shared-mode readers.
-            std::lock_guard<std::shared_mutex> lock(storage_mu_);
-            for (const auto& [key, n] : batch) {
-              Status s = inner_->count_cache()->Add(
-                  key, static_cast<double>(n));
-              if (!s.ok() && deferred_count_cache_status_.ok()) {
-                deferred_count_cache_status_ = s;
-              }
+  ConcurrentCountTrackerOptions topts;
+  topts.num_shards = concurrent_options_.stats_shards;
+  topts.epoch_batch = concurrent_options_.epoch_batch;
+  topts.rank_reads = reads_need_rank_;
+  stats_tracker_ = std::make_unique<ConcurrentCountTracker>(
+      inner_->access_tracker(), topts);
+  if (inner_->count_cache() != nullptr) {
+    // Epoch merges double as the persistence batch: the same deltas
+    // that enter the rank index go to the write-behind count cache.
+    // Called under the exclusive stats spine; takes storage_mu_
+    // (spine -> storage is the global lock order).
+    stats_tracker_->set_flush_hook(
+        [this](const std::vector<std::pair<int64_t, uint64_t>>& batch) {
+          // Storage WRITE: exclusive against shared-mode readers.
+          std::lock_guard<std::shared_mutex> lock(storage_mu_);
+          for (const auto& [key, n] : batch) {
+            Status s = inner_->count_cache()->Add(
+                key, static_cast<double>(n));
+            if (!s.ok() && deferred_count_cache_status_.ok()) {
+              deferred_count_cache_status_ = s;
             }
-          });
-    }
-    row_stripes_.reserve(concurrent_options_.num_shards);
-    acct_stripes_.reserve(concurrent_options_.num_shards);
-    for (size_t i = 0; i < concurrent_options_.num_shards; ++i) {
-      row_stripes_.push_back(std::make_unique<RowStripe>());
-      acct_stripes_.push_back(std::make_unique<AcctStripe>());
-    }
-    if (concurrent_options_.mvcc_writes) {
-      epoch_mgr_ = std::make_unique<EpochManager>();
-      version_store_ = std::make_unique<VersionStore>(
-          concurrent_options_.version_store_stripes);
-      if (inner_->table() != nullptr) {
-        logical_rows_.store(inner_->table()->NumRows(),
-                            std::memory_order_relaxed);
-      }
-      last_reclaim_micros_ = inner_->clock()->NowMicros();
-    }
+          }
+        });
   }
+  row_stripes_.reserve(concurrent_options_.num_shards);
+  acct_stripes_.reserve(concurrent_options_.num_shards);
+  for (size_t i = 0; i < concurrent_options_.num_shards; ++i) {
+    row_stripes_.push_back(std::make_unique<RowStripe>());
+    acct_stripes_.push_back(std::make_unique<AcctStripe>());
+  }
+  epoch_mgr_ = std::make_unique<EpochManager>();
+  version_store_ = std::make_unique<VersionStore>(kVersionStoreStripes);
+  if (inner_->table() != nullptr) {
+    logical_rows_.store(inner_->table()->NumRows(),
+                        std::memory_order_relaxed);
+  }
+  last_reclaim_micros_ = inner_->clock()->NowMicros();
   if (concurrent_options_.metrics != nullptr) {
     obs::MetricRegistry* m = concurrent_options_.metrics;
     m_requests_ = m->GetCounter("tarpit_db_requests_total");
@@ -167,24 +167,20 @@ ConcurrentProtectedDatabase::ConcurrentProtectedDatabase(
     // The scheduler reads its registry from its own options; thread it
     // through so callers set one pointer, not two.
     concurrent_options_.scheduler.metrics = m;
-    if (epoch_mgr_ != nullptr) {
-      m_mvcc_installed_ =
-          m->GetCounter("tarpit_mvcc_versions_installed_total");
-      m_mvcc_applied_ = m->GetCounter("tarpit_mvcc_versions_applied_total");
-      m_mvcc_reclaimed_ =
-          m->GetCounter("tarpit_mvcc_versions_reclaimed_total");
-      m_mvcc_reclaim_passes_ =
-          m->GetCounter("tarpit_mvcc_reclaim_passes_total");
-      m_mvcc_pins_ = m->GetCounter("tarpit_mvcc_snapshot_pins_total");
-      m_write_batches_ = m->GetCounter("tarpit_write_batches_total");
-      m_ddl_fences_ = m->GetCounter("tarpit_mvcc_ddl_fences_total");
-      m_mvcc_live_versions_ = m->GetGauge("tarpit_mvcc_live_versions");
-      m_mvcc_commit_epoch_ = m->GetGauge("tarpit_mvcc_commit_epoch");
-      m_mvcc_min_active_ = m->GetGauge("tarpit_mvcc_min_active_epoch");
-      obs::HistogramOptions ops;
-      ops.unit = "ops";
-      m_write_batch_ops_ = m->GetHistogram("tarpit_write_batch_ops", {}, ops);
-    }
+    m_mvcc_installed_ = m->GetCounter("tarpit_mvcc_versions_installed_total");
+    m_mvcc_applied_ = m->GetCounter("tarpit_mvcc_versions_applied_total");
+    m_mvcc_reclaimed_ = m->GetCounter("tarpit_mvcc_versions_reclaimed_total");
+    m_mvcc_reclaim_passes_ =
+        m->GetCounter("tarpit_mvcc_reclaim_passes_total");
+    m_mvcc_pins_ = m->GetCounter("tarpit_mvcc_snapshot_pins_total");
+    m_write_batches_ = m->GetCounter("tarpit_write_batches_total");
+    m_ddl_fences_ = m->GetCounter("tarpit_mvcc_ddl_fences_total");
+    m_mvcc_live_versions_ = m->GetGauge("tarpit_mvcc_live_versions");
+    m_mvcc_commit_epoch_ = m->GetGauge("tarpit_mvcc_commit_epoch");
+    m_mvcc_min_active_ = m->GetGauge("tarpit_mvcc_min_active_epoch");
+    obs::HistogramOptions ops;
+    ops.unit = "ops";
+    m_write_batch_ops_ = m->GetHistogram("tarpit_write_batch_ops", {}, ops);
   }
   sink_ = concurrent_options_.trace_sink;
   events_ = concurrent_options_.event_ring;
@@ -495,7 +491,6 @@ void ConcurrentProtectedDatabase::InvalidateRowCaches() {
 }
 
 void ConcurrentProtectedDatabase::EraseCachedRow(int64_t key) {
-  if (row_stripes_.empty()) return;
   RowStripe& stripe = *row_stripes_[RowStripeFor(key)];
   std::lock_guard<std::mutex> lock(stripe.mu);
   stripe.rows.erase(key);
@@ -504,7 +499,7 @@ void ConcurrentProtectedDatabase::EraseCachedRow(int64_t key) {
 void ConcurrentProtectedDatabase::RefillCachedRow(int64_t key,
                                                   const Row& row) {
   const size_t cap = concurrent_options_.row_cache_capacity_per_shard;
-  if (row_stripes_.empty() || cap == 0) return;
+  if (cap == 0) return;
   RowStripe& stripe = *row_stripes_[RowStripeFor(key)];
   std::lock_guard<std::mutex> lock(stripe.mu);
   auto it = stripe.rows.find(key);
@@ -519,7 +514,7 @@ void ConcurrentProtectedDatabase::RefillCachedRow(int64_t key,
 // --- MVCC write path. ----------------------------------------------------
 
 bool ConcurrentProtectedDatabase::CanLowerDml(const Statement& stmt) const {
-  if (epoch_mgr_ == nullptr || stmt.explain) return false;
+  if (stmt.explain) return false;
   Table* table = inner_->table();
   if (table == nullptr) return false;
   const std::string& name = table->name();
@@ -552,7 +547,7 @@ Result<ProtectedResult> ConcurrentProtectedDatabase::SubmitWrite(
     Table* table = inner_->table();
     TARPIT_RETURN_IF_ERROR(concurrent_options_.governor->CheckWrite(
         table != nullptr ? table->WalBacklogBytes() : 0,
-        version_store_ != nullptr ? version_store_->live_versions() : 0));
+        version_store_->live_versions()));
   }
   WriteOp op;
   op.stmt = &stmt;
@@ -583,15 +578,9 @@ Result<ProtectedResult> ConcurrentProtectedDatabase::SubmitWrite(
     });
     return std::move(op.result);
   }
-  // Leader: optionally let a burst accumulate (the write-path
-  // equivalent of the WAL's group-commit window, on the same injected
-  // clock), then drain the queue until it runs dry -- each queued
-  // statement is one commit epoch, and followers that arrived while a
-  // batch executed ride the next pass instead of waiting for a lock.
-  if (concurrent_options_.write_batch_window_micros > 0) {
-    inner_->clock()->SleepForMicros(
-        concurrent_options_.write_batch_window_micros);
-  }
+  // Leader: drain the queue until it runs dry -- each queued statement
+  // is one commit epoch, and followers that arrived while a batch
+  // executed ride the next pass instead of waiting for a lock.
   std::lock_guard<std::mutex> writer(writer_mu_);
   while (true) {
     std::vector<WriteOp*> batch;
@@ -670,7 +659,7 @@ Result<ProtectedResult> ConcurrentProtectedDatabase::ExecuteMvccStatement(
     // (serialized out by writer_mu_), and every commit erases the
     // key's entry at install. A cache-resident key therefore skips
     // the base read entirely -- the hot-write fast path.
-    if (!row_stripes_.empty()) {
+    {
       RowStripe& stripe = *row_stripes_[RowStripeFor(key)];
       std::lock_guard<std::mutex> cache_lock(stripe.mu);
       auto it = stripe.rows.find(key);
@@ -903,10 +892,7 @@ void ConcurrentProtectedDatabase::MaybeReclaim() {
 }
 
 Status ConcurrentProtectedDatabase::DrainVersions() {
-  if (version_store_ == nullptr ||
-      version_store_->live_versions() == 0) {
-    return Status::OK();
-  }
+  if (version_store_->live_versions() == 0) return Status::OK();
   // No commit can publish while we hold writer_mu_, so waiting out
   // snapshots older than the newest epoch terminates: pins cover one
   // row resolution (never a stall) and new pins land at the current
@@ -922,7 +908,7 @@ Status ConcurrentProtectedDatabase::DrainVersions() {
 }
 
 void ConcurrentProtectedDatabase::QuiesceStats() {
-  if (stats_tracker_ != nullptr) stats_tracker_->FlushAll();
+  stats_tracker_->FlushAll();
 }
 
 ProtectedDatabase* ConcurrentProtectedDatabase::unsafe_inner() {
@@ -930,61 +916,17 @@ ProtectedDatabase* ConcurrentProtectedDatabase::unsafe_inner() {
          "unsafe_inner() while queries are in flight -- the inner "
          "database is single-threaded");
   QuiesceStats();
-  if (epoch_mgr_ != nullptr) {
-    // Fold pending versions into base so inner inspections (NumRows,
-    // table scans, tracker state) are exact.
-    std::lock_guard<std::mutex> writer(writer_mu_);
-    Status st = DrainVersions();
-    if (!st.ok() && deferred_mvcc_status_.ok()) {
-      deferred_mvcc_status_ = st;
-    }
-  }
+  // Fold pending versions into base so inner inspections (NumRows,
+  // table scans, tracker state) are exact.
+  std::lock_guard<std::mutex> writer(writer_mu_);
+  Status st = DrainVersions();
+  if (!st.ok() && deferred_mvcc_status_.ok()) deferred_mvcc_status_ = st;
   return inner_.get();
 }
 
-// --- Global-lock mode (the seed baseline). -------------------------------
+// --- Compute phase. ------------------------------------------------------
 
-Result<ProtectedResult> ConcurrentProtectedDatabase::ExecuteSqlGlobal(
-    const std::string& sql, obs::RequestTrace* tr,
-    const RequestPrincipal* who) {
-  InFlightMark mark(&in_flight_);
-  PhaseMarker pm(tr, inner_->clock());
-  // Pre-access factor (same no-retroactive-penalty rule as the gate).
-  const double factor = ReputationFactor(who);
-  std::lock_guard<std::mutex> lock(mutex_);
-  Result<ProtectedResult> r = inner_->ExecuteSql(sql);
-  if (r.ok() && who != nullptr) {
-    const uint64_t n = inner_->access_tracker()->universe_size();
-    for (int64_t key : r->result.touched_keys) {
-      ReputationObserve(who, key, n);
-    }
-    global_rep_extra_delay_ += ApplyReputation(&*r, factor);
-  }
-  // The global path computes everything under one lock; the whole
-  // computation is the admission phase.
-  pm.Mark(obs::TracePhase::kAdmit);
-  return r;
-}
-
-Result<ProtectedResult> ConcurrentProtectedDatabase::GetByKeyGlobal(
-    int64_t key, obs::RequestTrace* tr, const RequestPrincipal* who) {
-  InFlightMark mark(&in_flight_);
-  PhaseMarker pm(tr, inner_->clock());
-  const double factor = ReputationFactor(who);
-  std::lock_guard<std::mutex> lock(mutex_);
-  Result<ProtectedResult> r = inner_->GetByKey(key);
-  if (r.ok() && who != nullptr) {
-    ReputationObserve(who, key,
-                      inner_->access_tracker()->universe_size());
-    global_rep_extra_delay_ += ApplyReputation(&*r, factor);
-  }
-  pm.Mark(obs::TracePhase::kAdmit);
-  return r;
-}
-
-// --- Sharded mode. -------------------------------------------------------
-
-Result<ProtectedResult> ConcurrentProtectedDatabase::GetByKeySharded(
+Result<ProtectedResult> ConcurrentProtectedDatabase::ComputeGetByKey(
     int64_t key, obs::RequestTrace* tr, const RequestPrincipal* who) {
   ProtectedResult out;
   // Pre-access factor, read before this request's access is observed
@@ -1012,30 +954,26 @@ Result<ProtectedResult> ConcurrentProtectedDatabase::GetByKeySharded(
     RowStripe& stripe = *row_stripes_[stripe_idx];
     Row row;
     bool resolved = false;
-    EpochManager::Snapshot snap;
-    if (epoch_mgr_ != nullptr) {
-      snap = epoch_mgr_->Pin();
-      if (m_mvcc_pins_ != nullptr) m_mvcc_pins_->Increment();
-      // Empty-store fast path: the pin's acquire edge means a chain
-      // lookup can only find versions installed before the pinned
-      // epoch's publish, and every such install incremented
-      // live_versions first -- reading 0 here proves the probe would
-      // miss. (The pin itself stays: it is what keeps the reclaimer
-      // from folding a newer commit into base mid-read below.)
-      switch (version_store_->live_versions() == 0
-                  ? VersionLookup::kMiss
-                  : version_store_->Lookup(key, snap.epoch(), &row)) {
-        case VersionLookup::kRow:
-          resolved = true;
-          break;
-        case VersionLookup::kTombstone:
-          // Deleted as of this snapshot. Like the serial path's base
-          // miss, nothing is recorded and nothing is charged.
-          return Status::NotFound("key not found: " +
-                                  std::to_string(key));
-        case VersionLookup::kMiss:
-          break;
-      }
+    EpochManager::Snapshot snap = epoch_mgr_->Pin();
+    if (m_mvcc_pins_ != nullptr) m_mvcc_pins_->Increment();
+    // Empty-store fast path: the pin's acquire edge means a chain
+    // lookup can only find versions installed before the pinned
+    // epoch's publish, and every such install incremented
+    // live_versions first -- reading 0 here proves the probe would
+    // miss. (The pin itself stays: it is what keeps the reclaimer from
+    // folding a newer commit into base mid-read below.)
+    switch (version_store_->live_versions() == 0
+                ? VersionLookup::kMiss
+                : version_store_->Lookup(key, snap.epoch(), &row)) {
+      case VersionLookup::kRow:
+        resolved = true;
+        break;
+      case VersionLookup::kTombstone:
+        // Deleted as of this snapshot. Like the serial path's base
+        // miss, nothing is recorded and nothing is charged.
+        return Status::NotFound("key not found: " + std::to_string(key));
+      case VersionLookup::kMiss:
+        break;
     }
     if (!resolved) {
       bool hit = false;
@@ -1141,7 +1079,7 @@ Result<ProtectedResult> ConcurrentProtectedDatabase::GetByKeySharded(
   return out;
 }
 
-Result<ProtectedResult> ConcurrentProtectedDatabase::ExecuteSqlSharded(
+Result<ProtectedResult> ConcurrentProtectedDatabase::ComputeExecuteSql(
     const std::string& sql, obs::RequestTrace* tr,
     const RequestPrincipal* who) {
   PhaseMarker pm(tr, inner_->clock());
@@ -1182,7 +1120,7 @@ Result<ProtectedResult> ConcurrentProtectedDatabase::ExecuteSqlSharded(
     // freely; row caches are invalidated because UPDATE/DELETE/DDL
     // change what GetByKey must observe.
     std::unique_lock<std::shared_mutex> ddl(ddl_mu_);
-    if (epoch_mgr_ != nullptr) {
+    {
       // DDL fence: with ddl_mu_ exclusive no snapshot can be pinned,
       // so the store drains completely and the fallback executes
       // against exact base state -- CREATE INDEX builds see every
@@ -1206,7 +1144,7 @@ Result<ProtectedResult> ConcurrentProtectedDatabase::ExecuteSqlSharded(
       inner_->update_tracker()->SyncRankIndex();
     }
     InvalidateRowCaches();
-    if (epoch_mgr_ != nullptr && inner_->table() != nullptr) {
+    if (inner_->table() != nullptr) {
       // The store is drained, so NumRows() is exact again.
       logical_rows_.store(inner_->table()->NumRows(),
                           std::memory_order_relaxed);
@@ -1219,15 +1157,12 @@ Result<ProtectedResult> ConcurrentProtectedDatabase::ExecuteSqlSharded(
     // held SHARED -- the scan itself is safe alongside GetByKey misses;
     // the spine's exclusivity already excludes the count-cache flush
     // hook's storage writes. Spine -> storage is the global lock order.
-    // With MVCC on, the scan reads base storage, which cannot see
-    // unreclaimed versions: drain first and hold writer_mu_ across the
-    // scan so no commit slips in between. Writes may wait on a long
-    // SELECT; point readers never wait on either.
-    std::unique_lock<std::mutex> writer(writer_mu_, std::defer_lock);
-    if (epoch_mgr_ != nullptr) {
-      writer.lock();
-      TARPIT_RETURN_IF_ERROR(DrainVersions());
-    }
+    // The scan reads base storage, which cannot see unreclaimed
+    // versions: drain first and hold writer_mu_ across the scan so no
+    // commit slips in between. Writes may wait on a long SELECT; point
+    // readers never wait on either.
+    std::lock_guard<std::mutex> writer(writer_mu_);
+    TARPIT_RETURN_IF_ERROR(DrainVersions());
     stats_tracker_->WithExclusive([&](CountTracker*) {
       std::unique_lock<std::shared_mutex> us(update_stats_mu_);
       std::shared_lock<std::shared_mutex> lock(storage_mu_);
@@ -1244,7 +1179,7 @@ Result<ProtectedResult> ConcurrentProtectedDatabase::ExecuteSqlSharded(
       ReputationObserve(who, key, n);
     }
     const double extra = ApplyReputation(&*result, factor);
-    if (extra > 0.0 && !acct_stripes_.empty()) {
+    if (extra > 0.0) {
       AcctStripe& acct = *acct_stripes_[0];
       std::lock_guard<std::mutex> lock(acct.mu);
       acct.total_delay += extra;
@@ -1257,22 +1192,7 @@ Result<ProtectedResult> ConcurrentProtectedDatabase::ExecuteSqlSharded(
   return result;
 }
 
-// --- Public dispatch: admit/compute, then serve or park the stall. -------
-
-Result<ProtectedResult> ConcurrentProtectedDatabase::ComputeExecuteSql(
-    const std::string& sql, obs::RequestTrace* tr,
-    const RequestPrincipal* who) {
-  return concurrent_options_.mode == ConcurrencyMode::kGlobalLock
-             ? ExecuteSqlGlobal(sql, tr, who)
-             : ExecuteSqlSharded(sql, tr, who);
-}
-
-Result<ProtectedResult> ConcurrentProtectedDatabase::ComputeGetByKey(
-    int64_t key, obs::RequestTrace* tr, const RequestPrincipal* who) {
-  return concurrent_options_.mode == ConcurrencyMode::kGlobalLock
-             ? GetByKeyGlobal(key, tr, who)
-             : GetByKeySharded(key, tr, who);
-}
+// --- Public entry points: compute, then serve or park the stall. ---------
 
 Result<ProtectedResult> ConcurrentProtectedDatabase::ExecuteSql(
     const std::string& sql) {
@@ -1344,48 +1264,28 @@ void ConcurrentProtectedDatabase::ExecuteSqlAsync(
 }
 
 Status ConcurrentProtectedDatabase::BulkLoadRow(const Row& row) {
-  if (concurrent_options_.mode == ConcurrencyMode::kGlobalLock) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return inner_->BulkLoadRow(row);
-  }
   std::unique_lock<std::shared_mutex> ddl(ddl_mu_);
-  if (epoch_mgr_ != nullptr) {
+  {
     // Bulk loads write base storage directly; fence them behind a
     // drain so they cannot be shadowed by (or race) pending versions.
     std::lock_guard<std::mutex> writer(writer_mu_);
     TARPIT_RETURN_IF_ERROR(DrainVersions());
   }
   Status s = inner_->BulkLoadRow(row);
-  if (s.ok() && epoch_mgr_ != nullptr && inner_->table() != nullptr) {
+  if (s.ok() && inner_->table() != nullptr) {
     logical_rows_.store(inner_->table()->NumRows(),
                         std::memory_order_relaxed);
-  }
-  if (s.ok() && !row_stripes_.empty() && inner_->table() != nullptr) {
     // Defensive: drop any cached row under the same key (e.g. a reload
     // after out-of-band changes through unsafe_inner()).
     const size_t pk = inner_->table()->pk_column();
-    if (pk < row.size() && row[pk].is_int()) {
-      const int64_t key = row[pk].AsInt();
-      RowStripe& stripe = *row_stripes_[RowStripeFor(key)];
-      std::lock_guard<std::mutex> lock(stripe.mu);
-      stripe.rows.erase(key);
-    }
+    if (pk < row.size() && row[pk].is_int()) EraseCachedRow(row[pk].AsInt());
   }
   return s;
 }
 
 Status ConcurrentProtectedDatabase::Checkpoint() {
-  if (concurrent_options_.mode == ConcurrencyMode::kGlobalLock) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    TARPIT_RETURN_IF_ERROR(inner_->Checkpoint());
-    // Reputation surcharges bypass the inner engine's accounting;
-    // re-snapshot the ledger with them folded in (snapshots are
-    // absolute, so the later, fuller record wins on recovery).
-    return inner_->SnapshotDelayLedger(global_rep_extra_delay_, 0,
-                                       /*sync=*/true);
-  }
   std::unique_lock<std::shared_mutex> ddl(ddl_mu_);
-  if (epoch_mgr_ != nullptr) {
+  {
     // Fold every pending version into base BEFORE the inner checkpoint
     // truncates the WAL -- commit-time WAL records are the only
     // durable form of unreclaimed versions.
@@ -1403,29 +1303,22 @@ Status ConcurrentProtectedDatabase::Checkpoint() {
     }
   }
   TARPIT_RETURN_IF_ERROR(inner_->Checkpoint());
-  // The sharded path charges delays through the accounting stripes,
-  // bypassing the inner DelayEngine; fold them into a final synced
-  // ledger snapshot so the recovered debt matches what callers were
-  // actually charged.
-  double sharded_delay = 0.0;
-  uint64_t sharded_charges = 0;
+  // GetByKey charges delays through the accounting stripes, bypassing
+  // the inner DelayEngine; fold them into a final synced ledger
+  // snapshot so the recovered debt matches what callers were actually
+  // charged.
+  double striped_delay = 0.0;
+  uint64_t striped_charges = 0;
   for (auto& acct : acct_stripes_) {
     std::lock_guard<std::mutex> lock(acct->mu);
-    sharded_delay += acct->total_delay;
-    sharded_charges += acct->charges;
+    striped_delay += acct->total_delay;
+    striped_charges += acct->charges;
   }
-  return inner_->SnapshotDelayLedger(sharded_delay, sharded_charges,
+  return inner_->SnapshotDelayLedger(striped_delay, striped_charges,
                                      /*sync=*/true);
 }
 
 ProtectedDatabaseMetrics ConcurrentProtectedDatabase::Metrics() {
-  if (concurrent_options_.mode == ConcurrencyMode::kGlobalLock) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ProtectedDatabaseMetrics m = inner_->Metrics();
-    // Reputation surcharges bypass the inner engine's accounting.
-    m.total_delay_seconds += global_rep_extra_delay_;
-    return m;
-  }
   std::shared_lock<std::shared_mutex> ddl(ddl_mu_);
   ProtectedDatabaseMetrics m;
   stats_tracker_->WithExclusive([&](CountTracker*) {
@@ -1435,22 +1328,22 @@ ProtectedDatabaseMetrics ConcurrentProtectedDatabase::Metrics() {
   });
   // Requests parked in stats stripes are real, just not merged yet.
   m.total_requests += stats_tracker_->pending_records();
-  // Fold in the sharded path's delay accounting (it bypasses the inner
+  // Fold in GetByKey's striped delay accounting (it bypasses the inner
   // DelayEngine by design).
   BoundedQuantileSketch merged;
-  double sharded_delay = 0.0;
-  uint64_t sharded_charges = 0;
+  double striped_delay = 0.0;
+  uint64_t striped_charges = 0;
   for (auto& acct : acct_stripes_) {
     std::lock_guard<std::mutex> lock(acct->mu);
-    sharded_delay += acct->total_delay;
-    sharded_charges += acct->charges;
+    striped_delay += acct->total_delay;
+    striped_charges += acct->charges;
     merged.Merge(acct->sketch);
   }
-  m.total_delay_seconds += sharded_delay;
-  m.delays_charged += sharded_charges;
+  m.total_delay_seconds += striped_delay;
+  m.delays_charged += striped_charges;
   if (merged.count() > 0) {
-    // Quantiles from the dominant path's sketch (the sharded path once
-    // it has any traffic; point retrievals are the hot path).
+    // Quantiles from the point-read sketch once it has any traffic
+    // (point retrievals are the hot path).
     m.median_delay_seconds = merged.Median();
     m.p99_delay_seconds = merged.Quantile(0.99);
   }

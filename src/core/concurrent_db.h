@@ -27,20 +27,6 @@
 
 namespace tarpit {
 
-/// How the concurrent front door schedules query computation.
-enum class ConcurrencyMode {
-  /// The seed behavior: every query computes under ONE global mutex
-  /// (stalls are still served outside it). Kept as the baseline the
-  /// scaling bench compares against.
-  kGlobalLock,
-  /// Lock-striped point-retrieval path: GetByKey runs under a shared
-  /// "DDL" lock plus per-stripe locks, with stats through the
-  /// concurrency-safe ConcurrentCountTracker and delays computed from
-  /// read-mostly snapshots. Mutating SQL takes the DDL lock
-  /// exclusively.
-  kSharded,
-};
-
 /// Caller-attributed principal for a request entering the concurrent
 /// front door. The door does no registration or rate limiting (that is
 /// the QueryGate's job); given a principal it escalates the charged
@@ -53,15 +39,16 @@ struct RequestPrincipal {
   uint32_t subnet24 = 0;
 };
 
-/// Tuning knobs for the sharded path.
+/// Tuning knobs for the concurrent front door.
 struct ConcurrentDatabaseOptions {
-  ConcurrencyMode mode = ConcurrencyMode::kSharded;
   /// Lock stripes for the GetByKey row cache (keyed by tuple key).
   size_t num_shards = 16;
   /// Stripes for the concurrent stats spine.
   size_t stats_shards = 16;
   /// Requests a stats stripe batches before merging into the rank
-  /// index (the epoch; bounds rank/f_max staleness).
+  /// index (the epoch; bounds rank/f_max staleness). 1 merges every
+  /// access before it is priced, so a serial request stream is charged
+  /// exactly what a serial CountTracker would charge.
   size_t epoch_batch = 64;
   /// Per-stripe row-cache bound; a stripe is dropped wholesale when it
   /// fills (crude but O(1) and correct -- invalidation also clears).
@@ -70,27 +57,9 @@ struct ConcurrentDatabaseOptions {
   /// When false, delays are computed and accounted but not slept --
   /// for benches/simulations that measure rather than stall.
   bool serve_delays = true;
-  /// MVCC write path (kSharded only): eligible single-table DML
-  /// (INSERT, and primary-key-equality UPDATE/DELETE against the
-  /// protected table) lowers to group-committed version-store writes
-  /// under a SHARED DDL lock instead of excluding every reader.
-  /// Readers pin a snapshot epoch and resolve rows through the version
-  /// chains, so in steady state they never block on writers; a
-  /// reclaimer folds versions into base storage once no pinned
-  /// snapshot can still see older state. Ineligible statements (DDL,
-  /// range-predicate DML, EXPLAIN) fall back to the exclusive path
-  /// behind a version-store fence, which keeps the plan cache's
-  /// schema-version stamping and CREATE INDEX builds exact.
-  bool mvcc_writes = true;
-  /// Group-commit accumulation window for the write batcher: the
-  /// batch leader sleeps this long (on the injected clock, so virtual
-  /// time in simulations) before draining the queue, letting a burst
-  /// of concurrent writers share one leader pass -- the same idea as
-  /// the WAL's wal_group_commit_window_micros one layer up. 0 = drain
-  /// whatever queued while the previous batch executed.
-  int64_t write_batch_window_micros = 0;
-  /// Reclaim cadence: fold reclaimable versions into base storage
-  /// every N published commits (0 disables the commit trigger)...
+  /// Reclaim cadence for the MVCC write path: fold reclaimable
+  /// versions into base storage every N published commits (0 disables
+  /// the commit trigger)...
   size_t mvcc_reclaim_every_commits = 64;
   /// ...and/or whenever this much injected-clock time has passed since
   /// the last pass (0 disables the time trigger). Both zero = versions
@@ -98,10 +67,6 @@ struct ConcurrentDatabaseOptions {
   /// DDL fences). Driven by the injected Clock, never the wall clock,
   /// so VirtualClock tests reclaim deterministically.
   int64_t mvcc_reclaim_interval_micros = 0;
-  /// Lock stripes in the version store (chain map shards). Sized like
-  /// num_shards: every GetByKey probes a stripe, so striping must
-  /// scale with the read side, not the (single-leader) write side.
-  size_t version_store_stripes = 64;
   /// Async stall scheduling: stalls park on a DelayScheduler (timer
   /// wheel + dispatcher pool) instead of blocking the calling thread,
   /// so a fixed thread budget carries tens of thousands of
@@ -154,7 +119,8 @@ struct ConcurrentDatabaseOptions {
   obs::RiskScorer* risk = nullptr;
 };
 
-/// Thread-safe front door over a ProtectedDatabase.
+/// Thread-safe front door over a ProtectedDatabase: one compute path
+/// for every request.
 ///
 /// Locking model (lock order: ddl -> writer -> stats spine ->
 /// update-stats -> storage; stripe locks and page latches are leaves):
@@ -170,12 +136,12 @@ struct ConcurrentDatabaseOptions {
 ///    Readers never take `writer_mu_`: in steady state they never
 ///    block on writers.
 ///  * Eligible DML (INSERT, pk-equality UPDATE/DELETE on the protected
-///    table) holds `ddl_mu_` SHARED and funnels through a write
-///    batcher: one leader at a time holds `writer_mu_`, executes the
-///    queued statements as version-store commits (WAL record at commit
-///    time, base image deferred to the reclaimer), publishes each
-///    commit epoch, and mirrors the serial path's tracker bookkeeping
-///    under the spine / `update_stats_mu_`.
+///    table) lowers to MVCC: it holds `ddl_mu_` SHARED and funnels
+///    through a write batcher: one leader at a time holds `writer_mu_`,
+///    executes the queued statements as version-store commits (WAL
+///    record at commit time, base image deferred to the reclaimer),
+///    publishes each commit epoch, and mirrors the serial path's
+///    tracker bookkeeping under the spine / `update_stats_mu_`.
 ///  * SELECT statements hold `ddl_mu_` shared plus `writer_mu_` (a
 ///    base-storage scan cannot see unreclaimed versions, so the
 ///    version store is drained first and held empty across the scan)
@@ -216,8 +182,7 @@ class ConcurrentProtectedDatabase {
   /// async_stalls is on).
   Result<ProtectedResult> ExecuteSql(const std::string& sql);
 
-  /// Single-tuple retrieval on the striped path (kSharded) or under
-  /// the global mutex (kGlobalLock).
+  /// Single-tuple retrieval on the lock-striped path.
   Result<ProtectedResult> GetByKey(int64_t key);
 
   /// Principal-attributed variants: the charged delay is escalated by
@@ -273,9 +238,9 @@ class ConcurrentProtectedDatabase {
   /// inspecting the inner database from a quiesced state.
   void QuiesceStats();
 
-  /// Point-in-time metrics across both execution paths. Sharded
-  /// GetByKey accounting (which bypasses the inner DelayEngine) is
-  /// folded in; quantiles come from the dominant path's sketch.
+  /// Point-in-time metrics. GetByKey accounting (which bypasses the
+  /// inner DelayEngine) is folded in; quantiles come from its sketch
+  /// once it has any traffic.
   ProtectedDatabaseMetrics Metrics();
 
   /// Access to the wrapped instance for setup/inspection. NOT
@@ -298,7 +263,7 @@ class ConcurrentProtectedDatabase {
     return row_cache_misses_.load(std::memory_order_relaxed);
   }
   uint64_t stats_epoch_flushes() const {
-    return stats_tracker_ ? stats_tracker_->epoch_flushes() : 0;
+    return stats_tracker_->epoch_flushes();
   }
   const ConcurrentDatabaseOptions& concurrent_options() const {
     return concurrent_options_;
@@ -307,7 +272,7 @@ class ConcurrentProtectedDatabase {
     return stats_tracker_.get();
   }
 
-  /// MVCC observability (null when the write path is off).
+  /// MVCC observability.
   EpochManager* epoch_manager() { return epoch_mgr_.get(); }
   VersionStore* version_store() { return version_store_.get(); }
   /// Published version-store commits (one per lowered DML statement).
@@ -372,18 +337,6 @@ class ConcurrentProtectedDatabase {
   Result<ProtectedResult> ComputeExecuteSql(const std::string& sql,
                                             obs::RequestTrace* tr,
                                             const RequestPrincipal* who);
-  Result<ProtectedResult> GetByKeyGlobal(int64_t key,
-                                         obs::RequestTrace* tr,
-                                         const RequestPrincipal* who);
-  Result<ProtectedResult> GetByKeySharded(int64_t key,
-                                          obs::RequestTrace* tr,
-                                          const RequestPrincipal* who);
-  Result<ProtectedResult> ExecuteSqlGlobal(const std::string& sql,
-                                           obs::RequestTrace* tr,
-                                           const RequestPrincipal* who);
-  Result<ProtectedResult> ExecuteSqlSharded(const std::string& sql,
-                                            obs::RequestTrace* tr,
-                                            const RequestPrincipal* who);
   /// Pre-access penalty factor for `who` (1.0 when reputation is off
   /// or `who` is null). Same no-retroactive-penalty rule as the gate:
   /// the factor is read before this request's accesses are observed.
@@ -394,9 +347,8 @@ class ConcurrentProtectedDatabase {
   void ReputationObserve(const RequestPrincipal* who, int64_t key,
                          uint64_t universe_n);
   /// Escalates `r`'s charged delay by `factor` (counting the metric).
-  /// Returns the surcharge; the CALLER must account it (acct stripe or
-  /// global surcharge total) so Metrics() keeps matching what callers
-  /// were charged.
+  /// Returns the surcharge; the CALLER must account it in an acct
+  /// stripe so Metrics() keeps matching what callers were charged.
   double ApplyReputation(ProtectedResult* r, double factor);
   void InvalidateRowCaches();
   /// Drops the cached row for `key` (commit precision invalidation;
@@ -454,17 +406,11 @@ class ConcurrentProtectedDatabase {
   std::unique_ptr<ProtectedDatabase> inner_;
   ConcurrentDatabaseOptions concurrent_options_;
 
-  // kGlobalLock state. The reputation surcharge accumulator keeps
-  // global-mode Metrics() equal to the sum of caller-charged delays
-  // (the inner engine only accounts the base delay).
-  std::mutex mutex_;
-  double global_rep_extra_delay_ = 0.0;
-
-  // kSharded state. storage_mu_ is reader-writer: read-only storage
-  // access (GetByKey misses, SELECT scans) holds it shared -- the
-  // sharded buffer pool makes that safe -- while in-region storage
-  // writers (count-cache flush hook) hold it exclusive. Mutating SQL
-  // excludes everything via ddl_mu_ and needs no storage lock.
+  // storage_mu_ is reader-writer: read-only storage access (GetByKey
+  // misses, SELECT scans) holds it shared -- the sharded buffer pool
+  // makes that safe -- while in-region storage writers (count-cache
+  // flush hook) hold it exclusive. Mutating SQL excludes everything
+  // via ddl_mu_ and needs no storage lock.
   std::shared_mutex ddl_mu_;
   std::shared_mutex storage_mu_;
   /// Serializes version-store commits, reclamation and drains against
@@ -481,7 +427,7 @@ class ConcurrentProtectedDatabase {
   bool reads_need_update_stats_ = false;
   /// True iff the configured policy's delay actually consumes
   /// popularity rank (rank^beta with beta != 0): when false, the
-  /// sharded read path asks the stats spine for a rank-free snapshot
+  /// read path asks the stats spine for a rank-free snapshot
   /// and the treap never appears on the read path.
   bool reads_need_rank_ = true;
   std::unique_ptr<EpochManager> epoch_mgr_;
@@ -521,7 +467,7 @@ class ConcurrentProtectedDatabase {
   obs::Counter* m_row_misses_ = nullptr;
   obs::Counter* m_rep_escalated_ = nullptr;
   obs::Histogram* m_delay_charged_ns_ = nullptr;
-  // MVCC / write-path instruments (null when metrics or MVCC are off).
+  // MVCC / write-path instruments (null when metrics are off).
   obs::Counter* m_mvcc_installed_ = nullptr;
   obs::Counter* m_mvcc_applied_ = nullptr;
   obs::Counter* m_mvcc_reclaimed_ = nullptr;

@@ -119,9 +119,8 @@ Result<WireResponse> FrameClient::AwaitWireResponse(
       std::to_string(static_cast<unsigned>(f->type)));
 }
 
-Status FrameClient::Hello(uint64_t identity, uint32_t ipv4,
-                          double timeout_seconds) {
-  Status s = SendFrame(FrameType::kHello, HelloPayload(identity, ipv4));
+Status FrameClient::Hello(uint64_t identity, double timeout_seconds) {
+  Status s = SendFrame(FrameType::kHello, HelloPayload(identity, 0));
   if (!s.ok()) return s;
   auto f = AwaitResponse(timeout_seconds);
   if (!f.ok()) return f.status();

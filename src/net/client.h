@@ -27,10 +27,9 @@ class FrameClient {
   int fd() const { return fd_.get(); }
 
   /// Sends kHello and waits for kHelloAck (which may itself be delayed
-  /// server-side: delay-before-serve). `ipv4` 0 lets the server use
-  /// the peer address.
-  Status Hello(uint64_t identity, uint32_t ipv4 = 0,
-               double timeout_seconds = 60.0);
+  /// server-side: delay-before-serve). The server keys the principal's
+  /// subnet by the connection's peer address.
+  Status Hello(uint64_t identity, double timeout_seconds = 60.0);
 
   /// Sends kQuery / kGetKey and waits for the kResponse / kError.
   Result<WireResponse> Query(std::string_view sql,

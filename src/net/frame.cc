@@ -38,18 +38,18 @@ void AppendFrame(std::string* out, FrameType type,
   out->append(payload.data(), payload.size());
 }
 
-std::string HelloPayload(uint64_t identity, uint32_t ipv4) {
+std::string HelloPayload(uint64_t identity, uint32_t reserved) {
   std::string p;
   AppendU64(&p, identity);
-  AppendU32(&p, ipv4);
+  AppendU32(&p, reserved);
   return p;
 }
 
 bool ParseHello(std::string_view payload, uint64_t* identity,
-                uint32_t* ipv4) {
+                uint32_t* reserved) {
   if (payload.size() != 12) return false;
   *identity = ReadU64(payload.data());
-  *ipv4 = ReadU32(payload.data() + 8);
+  *reserved = ReadU32(payload.data() + 8);
   return true;
 }
 

@@ -20,7 +20,7 @@ namespace net {
 /// framing robustness suite).
 enum class FrameType : uint8_t {
   // Client -> server.
-  kHello = 0x01,   // [u64 identity][u32 ipv4]: principal attribution.
+  kHello = 0x01,   // [u64 identity][u32 reserved, must be 0].
   kQuery = 0x02,   // [sql text]
   kGetKey = 0x03,  // [i64 key]: the point-read fast path.
   // Server -> client.
@@ -50,9 +50,9 @@ void AppendFrame(std::string* out, FrameType type,
                  std::string_view payload);
 
 // -- Typed payload builders/parsers. ---------------------------------
-std::string HelloPayload(uint64_t identity, uint32_t ipv4);
+std::string HelloPayload(uint64_t identity, uint32_t reserved);
 bool ParseHello(std::string_view payload, uint64_t* identity,
-                uint32_t* ipv4);
+                uint32_t* reserved);
 std::string GetKeyPayload(int64_t key);
 bool ParseGetKey(std::string_view payload, int64_t* key);
 

@@ -468,14 +468,16 @@ bool TarpitServer::DispatchFrame(Conn* conn, Frame frame) {
 
 bool TarpitServer::StartHello(Conn* conn, const Frame& frame) {
   uint64_t identity = 0;
-  uint32_t ipv4 = 0;
-  if (!ParseHello(frame.payload, &identity, &ipv4)) {
+  uint32_t reserved = 0;
+  // The u32 after the identity is reserved-zero. The subnet always
+  // comes from the socket's peer address: a client-claimed address
+  // would let a Sybil fleet forge the /24 its reputation is keyed by.
+  if (!ParseHello(frame.payload, &identity, &reserved) || reserved != 0) {
     return ProtocolError(conn, StatusCode::kInvalidArgument,
                          "malformed hello", m_err_malformed_);
   }
-  if (ipv4 == 0) ipv4 = PeerIpv4(conn->fd);
   conn->principal.identity = identity;
-  conn->principal.subnet24 = ipv4 & 0xFFFFFF00u;
+  conn->principal.subnet24 = PeerIpv4(conn->fd) & 0xFFFFFF00u;
   conn->has_principal = identity != 0;
 
   // Delayer-style delay-before-serve: a principal that already earned

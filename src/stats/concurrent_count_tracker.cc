@@ -85,9 +85,22 @@ PopularityStats ConcurrentCountTracker::RecordAndStats(int64_t key,
     // still safe: every exclusive mutation leaves the inner tracker
     // with no pending index work, so the flush inside Stats() is a
     // no-op there and never mutates under a shared lock.
-    stats = inner_->Stats(key, need_rank);
+    if (!need_flush) stats = inner_->Stats(key, need_rank);
   }
-  if (need_flush) FlushStripe(i);
+  if (need_flush) {
+    // This record closes its stripe's epoch: merge first, then price
+    // from the merged state, so the request's own access is already in
+    // rank, f_max and the decayed counts. At epoch_batch = 1 that makes
+    // every charge equal a serial Record(key) + Stats(key).
+    std::unique_lock<std::shared_mutex> spine(spine_mu_);
+    MergeStripeLocked(i);
+    stats = inner_->Stats(key, need_rank);
+    // Records that landed after the merge (plain Record() takes no
+    // spine) are pending again; fold this key's share like Stats().
+    std::lock_guard<std::mutex> lock(s.mu);
+    auto it = s.pending.find(key);
+    pend = it != s.pending.end() ? it->second : 0;
+  }
   stats.total_requests = total;
   stats.count += static_cast<double>(pend);
   stats.total_count += static_cast<double>(pend);
@@ -97,8 +110,12 @@ PopularityStats ConcurrentCountTracker::RecordAndStats(int64_t key,
 }
 
 void ConcurrentCountTracker::FlushStripe(size_t i) {
-  Stripe& s = *stripes_[i];
   std::unique_lock<std::shared_mutex> spine(spine_mu_);
+  MergeStripeLocked(i);
+}
+
+void ConcurrentCountTracker::MergeStripeLocked(size_t i) {
+  Stripe& s = *stripes_[i];
   std::vector<std::pair<int64_t, uint64_t>> batch;
   {
     std::lock_guard<std::mutex> lock(s.mu);

@@ -81,6 +81,9 @@ class ConcurrentCountTracker {
   /// acquisition -- the protected front door's per-request hot path
   /// (learn, then charge from the post-record snapshot). Equivalent to
   /// calling Record(key) then Stats(key) with no interleaved writer.
+  /// A record that closes its stripe's epoch merges before it reads, so
+  /// at epoch_batch = 1 the result equals a serial CountTracker's
+  /// Record(key) + Stats(key) exactly (rank, f_max and decay included).
   /// `need_rank == false` skips the rank index entirely (rank and
   /// max_count come back 0 for seen keys) -- safe under the shared
   /// spine because it neither reads nor flushes deferred index work;
@@ -147,6 +150,8 @@ class ConcurrentCountTracker {
   size_t StripeFor(int64_t key) const;
   /// Merges stripe `i` into the inner tracker (no-op when empty).
   void FlushStripe(size_t i);
+  /// FlushStripe's body; requires the spine held exclusively.
+  void MergeStripeLocked(size_t i);
 
   CountTracker* inner_;
   ConcurrentCountTrackerOptions options_;

@@ -94,7 +94,6 @@ TEST_F(ConcurrencyTest, DisjointPartitionsMatchSerialOracle) {
   opts.popularity.bounds = {0.0, 10.0};
   opts.decay_per_request = 1.0;
   ConcurrentDatabaseOptions copts;
-  copts.mode = ConcurrencyMode::kSharded;
   copts.num_shards = 8;
   copts.stats_shards = 8;
   copts.epoch_batch = 16;
@@ -289,7 +288,6 @@ TEST_F(ConcurrencyTest, ShutdownWhileStallingDoesNotDeadlock) {
   opts.popularity.scale = 1e9;            // Everything hits the cap.
   opts.popularity.bounds = {0.0, 0.02};   // 20 ms stall per retrieval.
   ConcurrentDatabaseOptions copts;
-  copts.mode = ConcurrencyMode::kSharded;
   copts.serve_delays = true;
   OpenDb(64, opts, copts);
 
@@ -332,7 +330,6 @@ TEST_F(ConcurrencyTest, UnsafeInnerGuardAndQuiesce) {
   ProtectedDatabaseOptions opts;
   opts.popularity.bounds = {0.0, 0.0};
   ConcurrentDatabaseOptions copts;
-  copts.mode = ConcurrencyMode::kSharded;
   copts.epoch_batch = 64;
   copts.serve_delays = false;
   OpenDb(128, opts, copts);
@@ -364,7 +361,6 @@ TEST_F(ConcurrencyTest, WritesInvalidateRowCache) {
   ProtectedDatabaseOptions opts;
   opts.popularity.bounds = {0.0, 0.0};
   ConcurrentDatabaseOptions copts;
-  copts.mode = ConcurrencyMode::kSharded;
   copts.serve_delays = false;
   OpenDb(kRows, opts, copts);
 
@@ -422,7 +418,6 @@ TEST_F(ConcurrencyTest, SqlAndPointReadsShareOneSpine) {
   ProtectedDatabaseOptions opts;
   opts.popularity.bounds = {0.0, 0.0};
   ConcurrentDatabaseOptions copts;
-  copts.mode = ConcurrencyMode::kSharded;
   copts.epoch_batch = 8;
   copts.serve_delays = false;
   OpenDb(100, opts, copts);
@@ -448,31 +443,6 @@ TEST_F(ConcurrencyTest, SqlAndPointReadsShareOneSpine) {
   ASSERT_EQ(errors.load(), 0);
   EXPECT_EQ(cdb_->Metrics().total_requests,
             static_cast<uint64_t>(kThreads) * iters);
-}
-
-// The kGlobalLock baseline (the seed behavior) must keep working -- it
-// is the comparison arm of bench_concurrent_scaling.
-TEST_F(ConcurrencyTest, GlobalLockModeStillServes) {
-  ProtectedDatabaseOptions opts;
-  opts.popularity.bounds = {0.0, 0.0};
-  ConcurrentDatabaseOptions copts;
-  copts.mode = ConcurrencyMode::kGlobalLock;
-  OpenDb(32, opts, copts);
-
-  std::atomic<int> errors{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < 100; ++i) {
-        auto r = cdb_->GetByKey(1 + (t * 100 + i) % 32);
-        if (!r.ok()) ++errors;
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(errors.load(), 0);
-  EXPECT_EQ(cdb_->Metrics().total_requests, 400u);
-  EXPECT_EQ(cdb_->in_flight_queries(), 0);
 }
 
 // --- Async stall scheduling (the ISSUE 2 timer-wheel path). -------------

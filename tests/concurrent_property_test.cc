@@ -5,7 +5,8 @@
 // all equal. With decay disabled (delta = 1.0) the learned state is a
 // pure function of the multiset, so equality is exact; a second
 // property checks the decay>1 invariants (exact total mass, exact
-// request counts) that hold for *any* order.
+// request counts) that hold for *any* order. A third pins the fused
+// RecordAndStats to a serial tracker, call by call, at epoch_batch = 1.
 
 #include <algorithm>
 #include <cstdlib>
@@ -166,6 +167,45 @@ TEST(ConcurrentPropertyTest, DecayInvariantsHoldForAnyInterleaving) {
     const double got_mass = tracker.Stats(1).total_count;
     const double want_mass = serial.Stats(1).total_count;
     ASSERT_NEAR(got_mass, want_mass, 1e-6 * want_mass) << "seed " << seed;
+  }
+}
+
+// At epoch_batch = 1 every record closes its stripe's epoch, so the
+// fused record-then-price call must see its own access merged: each
+// RecordAndStats(key) equals a serial Record(key) + Stats(key) on every
+// Eq. 1 input, with and without decay. This is what lets the one front
+// door serve as its own exact-accounting oracle.
+TEST(ConcurrentPropertyTest, RecordAndStatsExactAtEpochOne) {
+  const int total_ops = StressIters(3000);
+  for (const double delta : {1.0, 1.0002}) {
+    for (const bool rank_reads : {true, false}) {
+      Rng rng(0x5EEDu + static_cast<uint64_t>(rank_reads));
+      const uint64_t n_keys = 256;
+      ZipfDistribution zipf(n_keys, 1.1);
+
+      CountTracker inner(n_keys, delta);
+      ConcurrentCountTrackerOptions topts;
+      topts.num_shards = 16;
+      topts.epoch_batch = 1;
+      topts.rank_reads = rank_reads;
+      ConcurrentCountTracker tracker(&inner, topts);
+      CountTracker serial(n_keys, delta);
+
+      for (int i = 0; i < total_ops; ++i) {
+        const int64_t key = static_cast<int64_t>(zipf.Sample(&rng));
+        const PopularityStats got = tracker.RecordAndStats(key, true);
+        serial.Record(key);
+        const PopularityStats want = serial.Stats(key);
+        ASSERT_DOUBLE_EQ(got.count, want.count)
+            << "delta " << delta << " op " << i << " key " << key;
+        ASSERT_EQ(got.rank, want.rank)
+            << "delta " << delta << " op " << i << " key " << key;
+        ASSERT_DOUBLE_EQ(got.max_count, want.max_count)
+            << "delta " << delta << " op " << i << " key " << key;
+        ASSERT_DOUBLE_EQ(got.total_count, want.total_count)
+            << "delta " << delta << " op " << i << " key " << key;
+      }
+    }
   }
 }
 

@@ -707,8 +707,6 @@ TEST(CrashTortureTest, MvccGroupCommitReplaysIdempotently) {
   opts.popularity.bounds = {0.0, 10.0};
   opts.table_options = rig.Options();
   ConcurrentDatabaseOptions copts;
-  copts.mode = ConcurrencyMode::kSharded;
-  copts.mvcc_writes = true;
   copts.mvcc_reclaim_every_commits = 4;  // Partial reclaim guaranteed.
   copts.serve_delays = false;
 
@@ -933,7 +931,6 @@ TEST(ResourceGovernorTest, ConcurrentDoorShedsAfterCharge) {
   opts.popularity.scale = 0.001;  // ~1ms stalls when actually served.
   opts.popularity.bounds = {0.0, 10.0};
   ConcurrentDatabaseOptions copts;
-  copts.mode = ConcurrencyMode::kSharded;
   copts.async_stalls = true;
   copts.governor = &gov;
   auto cdb = ConcurrentProtectedDatabase::Open(dir.path(), "items",
@@ -985,8 +982,6 @@ TEST(ResourceGovernorTest, WriteShedsOnWalBacklog) {
   ProtectedDatabaseOptions opts;
   opts.popularity.scale = 0.001;
   ConcurrentDatabaseOptions copts;
-  copts.mode = ConcurrencyMode::kSharded;
-  copts.mvcc_writes = true;
   copts.serve_delays = false;
   copts.governor = &gov;
   auto cdb = ConcurrentProtectedDatabase::Open(dir.path(), "items",
@@ -1078,7 +1073,6 @@ TEST(ResourceGovernorTest, ShutdownCancelledStallKeepsCharge) {
   opts.popularity.scale = 1000.0;  // ~1000s stall: never expires here.
   opts.popularity.bounds = {5.0, 3600.0};
   ConcurrentDatabaseOptions copts;
-  copts.mode = ConcurrencyMode::kSharded;
   copts.async_stalls = true;
   copts.governor = &gov;
   copts.metrics = &registry;

@@ -365,6 +365,33 @@ TEST(NetServerTest, DelayBeforeServePunishesKnownOffenders) {
   EXPECT_EQ(h.server->accept_delays(), 1u);
 }
 
+// The subnet a principal's reputation is keyed by comes from the
+// socket, never the client: a Hello claiming an address is refused.
+TEST(NetServerTest, HelloClaimingAnAddressIsRefused) {
+  ServerHarness h(0.0, 0.0);
+
+  FrameClient forger;
+  ASSERT_TRUE(forger.Connect("127.0.0.1", h.server->port()).ok());
+  const uint32_t claimed = (10u << 24) | (1u << 16) | (2u << 8) | 3u;
+  ASSERT_TRUE(
+      forger.SendFrame(FrameType::kHello, HelloPayload(42, claimed)).ok());
+  auto f = forger.RecvFrame(5.0);
+  ASSERT_TRUE(f.ok()) << f.status().ToString();
+  ASSERT_EQ(f->type, FrameType::kError);
+  WireResponse err;
+  ASSERT_TRUE(ParseError(f->payload, &err));
+  EXPECT_EQ(err.status_code,
+            static_cast<uint8_t>(StatusCode::kInvalidArgument));
+  EXPECT_EQ(err.text, "malformed hello");
+  EXPECT_FALSE(forger.RecvFrame(5.0).ok());  // Then the close.
+  EXPECT_GE(h.server->protocol_errors(), 1u);
+
+  // The same identity without a claim is served.
+  FrameClient honest;
+  ASSERT_TRUE(honest.Connect("127.0.0.1", h.server->port()).ok());
+  ASSERT_TRUE(honest.Hello(/*identity=*/42).ok());
+}
+
 TEST(NetServerTest, BackpressureClosesUnreadingClient) {
   TarpitServerOptions sopts;
   sopts.max_write_buffer_bytes = 8 * 1024;

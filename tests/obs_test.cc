@@ -388,7 +388,6 @@ TEST(ObsIntegrationTest, DatabasePublishesMetricsAndTraces) {
   ProtectedDatabaseOptions opts;
   opts.mode = DelayMode::kAccessPopularity;
   ConcurrentDatabaseOptions copts;
-  copts.mode = ConcurrencyMode::kSharded;
   copts.serve_delays = true;  // Virtual clock: sleeps advance time.
   copts.metrics = &registry;
   copts.trace_sink = &sink;
