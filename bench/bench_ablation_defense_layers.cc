@@ -16,7 +16,7 @@
 #include <memory>
 
 #include "common/clock.h"
-#include "core/protected_db.h"
+#include "core/concurrent_db.h"
 #include "defense/query_gate.h"
 #include "sim/gate_attack.h"
 
@@ -49,14 +49,15 @@ LayerOutcome RunLayer(const std::string& tag, QueryGateOptions gate_opts,
   db_opts.popularity.bounds = {0.0, 10.0};
   // The attack simulator runs per-identity timelines; delays must not
   // advance the shared clock inside ExecuteSql.
-  db_opts.defer_delay_sleep = true;
-  auto pdb = ProtectedDatabase::Open(dir.string(), "items", clock.get(),
-                                     db_opts);
-  if (!pdb.ok()) std::abort();
-  (void)(*pdb)->ExecuteSql(
+  ConcurrentDatabaseOptions copts;
+  copts.serve_delays = false;
+  auto db = ConcurrentProtectedDatabase::Open(dir.string(), "items",
+                                              clock.get(), db_opts, copts);
+  if (!db.ok()) std::abort();
+  (void)(*db)->ExecuteSql(
       "CREATE TABLE items (id INT PRIMARY KEY, v DOUBLE)");
   for (uint64_t i = 1; i <= kTuples; ++i) {
-    if (!(*pdb)
+    if (!(*db)
              ->BulkLoadRow({Value(static_cast<int64_t>(i)), Value(1.0)})
              .ok()) {
       std::abort();
@@ -68,13 +69,13 @@ LayerOutcome RunLayer(const std::string& tag, QueryGateOptions gate_opts,
     // differentiate).
     for (int rep = 0; rep < 200; ++rep) {
       for (int64_t k = 1; k <= 20; ++k) {
-        (void)(*pdb)->ExecuteSql("SELECT * FROM items WHERE id = " +
-                                 std::to_string(k));
+        (void)(*db)->ExecuteSql("SELECT * FROM items WHERE id = " +
+                                std::to_string(k));
       }
     }
   }
 
-  QueryGate gate(pdb->get(), gate_opts);
+  QueryGate gate(db->get(), gate_opts);
 
   // Legitimate spot check: one fresh user fetching a popular tuple.
   auto probe = gate.RegisterUser(Ipv4FromString("192.0.2.1"));

@@ -31,7 +31,7 @@
 
 #include "common/clock.h"
 #include "common/random.h"
-#include "core/protected_db.h"
+#include "core/concurrent_db.h"
 #include "defense/query_gate.h"
 #include "defense/reputation.h"
 #include "openloop.h"
@@ -70,13 +70,13 @@ const char* LayerName(Layer layer) {
 struct Stack {
   fs::path dir;
   std::unique_ptr<VirtualClock> clock;
-  std::unique_ptr<ProtectedDatabase> pdb;
   std::unique_ptr<ReputationStore> reputation;
+  std::unique_ptr<ConcurrentProtectedDatabase> db;
   std::unique_ptr<QueryGate> gate;
 
   ~Stack() {
     gate.reset();
-    pdb.reset();
+    db.reset();
     if (!dir.empty()) fs::remove_all(dir);
   }
 };
@@ -89,33 +89,6 @@ std::unique_ptr<Stack> MakeStack(Layer layer, const std::string& tag,
   fs::remove_all(stack->dir);
   fs::create_directories(stack->dir);
   stack->clock = std::make_unique<VirtualClock>();
-
-  ProtectedDatabaseOptions db_opts;
-  db_opts.popularity.scale = 0.05;
-  db_opts.popularity.beta = 1.0;
-  db_opts.popularity.bounds = {0.0, 10.0};
-  db_opts.defer_delay_sleep = true;  // Discrete-event adversaries.
-  auto pdb = ProtectedDatabase::Open(stack->dir.string(), "items",
-                                     stack->clock.get(), db_opts);
-  if (!pdb.ok()) std::abort();
-  stack->pdb = std::move(*pdb);
-  (void)stack->pdb->ExecuteSql(
-      "CREATE TABLE items (id INT PRIMARY KEY, v DOUBLE)");
-  for (int64_t i = 1; i <= tuples; ++i) {
-    if (present != nullptr && !present(i)) continue;
-    if (!stack->pdb->BulkLoadRow({Value(i), Value(1.0)}).ok()) {
-      std::abort();
-    }
-  }
-  // Warm the head so popular tuples are cheap and the cold tail sits
-  // at the cap -- without a skewed distribution every layer looks the
-  // same and the ablation measures nothing.
-  for (int rep = 0; rep < 200; ++rep) {
-    for (int64_t k = 1; k <= 20; ++k) {
-      (void)stack->pdb->ExecuteSql("SELECT * FROM items WHERE id = " +
-                                   std::to_string(k));
-    }
-  }
 
   QueryGateOptions gate_opts;
   gate_opts.registration_seconds_per_account = 0.0;
@@ -145,8 +118,37 @@ std::unique_ptr<Stack> MakeStack(Layer layer, const std::string& tag,
     stack->reputation = std::make_unique<ReputationStore>(rep);
     gate_opts.reputation = stack->reputation.get();
   }
+
+  ProtectedDatabaseOptions db_opts;
+  db_opts.popularity.scale = 0.05;
+  db_opts.popularity.beta = 1.0;
+  db_opts.popularity.bounds = {0.0, 10.0};
+  ConcurrentDatabaseOptions copts;
+  copts.serve_delays = false;  // Discrete-event adversaries.
+  copts.reputation = stack->reputation.get();
+  auto db = ConcurrentProtectedDatabase::Open(
+      stack->dir.string(), "items", stack->clock.get(), db_opts, copts);
+  if (!db.ok()) std::abort();
+  stack->db = std::move(*db);
+  (void)stack->db->ExecuteSql(
+      "CREATE TABLE items (id INT PRIMARY KEY, v DOUBLE)");
+  for (int64_t i = 1; i <= tuples; ++i) {
+    if (present != nullptr && !present(i)) continue;
+    if (!stack->db->BulkLoadRow({Value(i), Value(1.0)}).ok()) {
+      std::abort();
+    }
+  }
+  // Warm the head so popular tuples are cheap and the cold tail sits
+  // at the cap -- without a skewed distribution every layer looks the
+  // same and the ablation measures nothing.
+  for (int rep = 0; rep < 200; ++rep) {
+    for (int64_t k = 1; k <= 20; ++k) {
+      (void)stack->db->ExecuteSql("SELECT * FROM items WHERE id = " +
+                                  std::to_string(k));
+    }
+  }
   stack->gate =
-      std::make_unique<QueryGate>(stack->pdb.get(), gate_opts);
+      std::make_unique<QueryGate>(stack->db.get(), gate_opts);
   return stack;
 }
 
@@ -211,19 +213,21 @@ bench::OpenLoopStats RunOpenLoopGate(int64_t tuples, bool tiny) {
   db_opts.popularity.scale = 0.05;
   db_opts.popularity.beta = 1.0;
   db_opts.popularity.bounds = {0.0, 10.0};
-  db_opts.defer_delay_sleep = true;
-  auto pdb = ProtectedDatabase::Open(dir.string(), "items", &clock,
-                                     db_opts);
-  if (!pdb.ok()) std::abort();
-  auto db = std::move(*pdb);
+  ReputationOptions rep;
+  rep.breadth_free_fraction = 0.25;
+  ReputationStore reputation(rep);
+  ConcurrentDatabaseOptions copts;
+  copts.serve_delays = false;
+  copts.reputation = &reputation;
+  auto opened = ConcurrentProtectedDatabase::Open(dir.string(), "items",
+                                                  &clock, db_opts, copts);
+  if (!opened.ok()) std::abort();
+  auto db = std::move(*opened);
   (void)db->ExecuteSql("CREATE TABLE items (id INT PRIMARY KEY, v DOUBLE)");
   for (int64_t i = 1; i <= tuples; ++i) {
     if (!db->BulkLoadRow({Value(i), Value(1.0)}).ok()) std::abort();
   }
 
-  ReputationOptions rep;
-  rep.breadth_free_fraction = 0.25;
-  ReputationStore reputation(rep);
   QueryGateOptions gate_opts;
   gate_opts.registration_seconds_per_account = 0.0;
   gate_opts.registration_burst = 1e9;
@@ -255,9 +259,9 @@ bench::OpenLoopStats RunOpenLoopGate(int64_t tuples, bool tiny) {
     }
   }
 
-  // The serial front door is single-threaded by contract; arrivals
-  // queue on one door mutex and the intended-time latency charges the
-  // queue wait -- the honest cost of a serial door under load.
+  // The perimeter is single-threaded by contract; arrivals queue on
+  // one gate mutex and the intended-time latency charges the queue
+  // wait -- the honest cost of a serial perimeter under load.
   std::mutex door;
   bench::OpenLoopOptions olopts;
   olopts.threads = kUsers;

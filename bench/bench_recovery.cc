@@ -12,7 +12,7 @@
 //     checkpointed restart must match the in-memory oracle within
 //     0.01% -- the tarpit's bill survives the crash.
 //  4. Governor flood: a deterministic overload (one extraction-shaped
-//     identity flooding async queries through the QueryGate) must
+//     identity flooding async queries into the concurrent door) must
 //     shed-before-collapse: parked stalls never exceed the budget,
 //     parked bytes stay within the memory envelope, the excess
 //     completes Overloaded, every shed query is still charged, the
@@ -32,6 +32,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -39,13 +40,12 @@
 #include "common/clock.h"
 #include "common/failpoint.h"
 #include "common/random.h"
-#include "core/delay_scheduler.h"
+#include "core/concurrent_db.h"
 #include "core/protected_db.h"
 #include "core/resource_governor.h"
-#include "defense/audit_log.h"
 #include "defense/identity.h"
-#include "defense/query_gate.h"
 #include "defense/reputation.h"
+#include "obs/event_ring.h"
 #include "obs/metrics.h"
 #include "openloop.h"
 #include "storage/schema.h"
@@ -269,58 +269,71 @@ FloodResult MeasureGovernorFlood(const fs::path& dir, bool tiny) {
   // submit. With 0.4s stalls and microsecond submits, the budget
   // genuinely fills and the overload is real.
   RealClock clock;
-  ProtectedDatabaseOptions opts;
-  opts.popularity.scale = 2.0;
-  opts.popularity.bounds = {0.0, 0.4};
-  opts.defer_delay_sleep = true;  // The gate parks the stall.
-  auto pdb = ProtectedDatabase::Open(dir.string(), "items", &clock, opts);
-  if (!pdb.ok()) std::abort();
-  if (!(*pdb)
-           ->ExecuteSql("CREATE TABLE items (id INT PRIMARY KEY, "
-                        "v DOUBLE)")
-           .ok()) {
-    std::abort();
-  }
-  for (int i = 0; i < rows; ++i) {
-    if (!(*pdb)
-             ->BulkLoadRow({Value(static_cast<int64_t>(i)), Value(1.0)})
-             .ok()) {
-      std::abort();
-    }
-  }
-
   obs::MetricRegistry registry;
   ResourceGovernorOptions go;
   go.max_parked_stalls = r.budget;
   go.metrics = &registry;
   ResourceGovernor gov(go);
   ReputationStore reputation;  // Breadth learning on defaults.
-  QueryGateOptions qopts;
-  qopts.registration_burst = 8;             // Two accounts at t=0.
-  qopts.per_user_queries_per_second = 1e9;  // The governor is the cap
-  qopts.per_user_burst = 1e9;               // under test, not the
-  qopts.per_subnet_queries_per_second = 1e9;  // rate limiters.
-  qopts.per_subnet_burst = 1e9;
-  qopts.governor = &gov;
-  qopts.reputation = &reputation;
-  qopts.metrics = &registry;
-  QueryGate gate(pdb->get(), qopts);
-  DelayScheduler scheduler(&clock);
+  obs::DefenseEventRing events;
+  ProtectedDatabaseOptions opts;
+  opts.popularity.scale = 2.0;
+  opts.popularity.bounds = {0.0, 0.4};
+  ConcurrentDatabaseOptions copts;
+  copts.async_stalls = true;  // The door parks the stall.
+  copts.governor = &gov;
+  copts.reputation = &reputation;
+  copts.event_ring = &events;
+  auto db = ConcurrentProtectedDatabase::Open(dir.string(), "items",
+                                              &clock, opts, copts);
+  if (!db.ok()) std::abort();
+  ConcurrentProtectedDatabase* door = db->get();
+  if (!door->ExecuteSql("CREATE TABLE items (id INT PRIMARY KEY, "
+                        "v DOUBLE)")
+           .ok()) {
+    std::abort();
+  }
+  for (int i = 0; i < rows; ++i) {
+    if (!door->BulkLoadRow({Value(static_cast<int64_t>(i)), Value(1.0)})
+             .ok()) {
+      std::abort();
+    }
+  }
 
-  auto benign = gate.RegisterUser(Ipv4FromString("10.1.0.1"));
-  auto suspect = gate.RegisterUser(Ipv4FromString("203.0.113.7"));
-  if (!benign.ok() || !suspect.ok()) std::abort();
+  // The governor is the cap under test, so the flood skips the
+  // perimeter's rate limits and enters the door with its principal.
+  const RequestPrincipal benign{
+      1, Ipv4FromString("10.1.0.1") & 0xFFFFFF00u};
+  const RequestPrincipal suspect{
+      2, Ipv4FromString("203.0.113.7") & 0xFFFFFF00u};
 
-  // Benign baseline: a narrow hot set, queried before the flood.
+  // Benign baseline: a narrow hot set, queried before the flood. The
+  // queries park in waves of half the budget, each drained before the
+  // next, so none is shed.
   auto run_benign = [&](uint64_t seed) {
+    constexpr size_t kQueries = 200;
+    const size_t wave = std::min<size_t>(r.budget / 2, kQueries);
+    std::mutex mu;
     std::vector<double> delays;
+    auto completed = [&] {
+      std::lock_guard<std::mutex> lock(mu);
+      return delays.size();
+    };
     Rng rng(seed);
-    for (int i = 0; i < 200; ++i) {
-      auto res = gate.ExecuteSql(
-          *benign, "SELECT * FROM items WHERE id = " +
-                       std::to_string(rng.Uniform(20)));
-      if (!res.ok()) std::abort();
-      delays.push_back(res->delay_seconds);
+    for (size_t i = 1; i <= kQueries; ++i) {
+      door->ExecuteSqlAsync(
+          "SELECT * FROM items WHERE id = " +
+              std::to_string(rng.Uniform(20)),
+          benign, [&](Result<ProtectedResult> res) {
+            if (!res.ok()) std::abort();
+            std::lock_guard<std::mutex> lock(mu);
+            delays.push_back(res->delay_seconds);
+          });
+      if (i % wave == 0 || i == kQueries) {
+        while (completed() < i) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+      }
     }
     return Percentile(delays, 0.99);
   };
@@ -332,14 +345,12 @@ FloodResult MeasureGovernorFlood(const fs::path& dir, bool tiny) {
   // wheel's dispatchers ~0.4s later.
   std::atomic<uint64_t> served{0};
   std::atomic<uint64_t> shed{0};
-  const uint64_t before_charges = (*pdb)->Metrics().delays_charged;
+  const uint64_t before_charges = door->Metrics().delays_charged;
   for (uint64_t i = 0; i < r.flood; ++i) {
-    gate.ExecuteSqlAsync(
-        *suspect,
+    door->ExecuteSqlAsync(
         "SELECT * FROM items WHERE id = " +
             std::to_string(i % static_cast<uint64_t>(rows)),
-        &scheduler,
-        [&](Result<ProtectedResult> res) {
+        suspect, [&](Result<ProtectedResult> res) {
           if (res.ok()) {
             served.fetch_add(1, std::memory_order_relaxed);
           } else if (res.status().IsOverloaded()) {
@@ -360,9 +371,9 @@ FloodResult MeasureGovernorFlood(const fs::path& dir, bool tiny) {
   }
   r.served = served.load();
   r.shed = shed.load();
-  r.charged = (*pdb)->Metrics().delays_charged - before_charges;
+  r.charged = door->Metrics().delays_charged - before_charges;
   r.suspect_penalty =
-      reputation.IdentityPenalty(suspect->id, clock.NowSeconds());
+      reputation.IdentityPenalty(suspect.identity, clock.NowSeconds());
   r.benign_p99_after = run_benign(2);
 
   const bool budget_held = r.peak_parked <= r.budget &&
@@ -380,15 +391,17 @@ FloodResult MeasureGovernorFlood(const fs::path& dir, bool tiny) {
   // allow a hair of slack for rank churn from the suspect's scan.
   const bool benign_ok =
       r.benign_p99_after <= r.benign_p99_before * 1.05 + 1e-9;
-  // The audit ring is capacity-bounded (sheds can outnumber its
+  // The event ring is capacity-bounded (sheds can outnumber its
   // retention at full scale), so gate on the unbounded counter and
-  // only require that sheds are present in the retained audit window.
+  // only require that sheds are present in the retained window.
+  obs::DefenseEventRing::Query shed_events;
+  shed_events.type = static_cast<int>(obs::DefenseEventType::kOverloadShed);
   const bool audit_ok =
       registry
-              .GetCounter("tarpit_gate_denials_total",
-                          {{"reason", "overload"}})
+              .GetCounter("tarpit_governor_shed_total",
+                          {{"reason", "parked_stalls"}})
               ->Value() == static_cast<int64_t>(r.shed) &&
-      gate.audit_log()->CountOf(AuditEvent::kOverloadShed) > 0;
+      !events.Snapshot(shed_events).empty();
   r.pass = budget_held && all_accounted && excess_shed && charge_kept &&
            penalty_accrued && benign_ok && audit_ok;
   return r;

@@ -11,7 +11,7 @@
 #include "common/clock.h"
 #include "common/random.h"
 #include "common/zipf.h"
-#include "core/protected_db.h"
+#include "core/concurrent_db.h"
 #include "defense/query_gate.h"
 
 using namespace tarpit;
@@ -27,10 +27,10 @@ int main() {
   ProtectedDatabaseOptions db_options;
   db_options.popularity.scale = 0.02;
   db_options.popularity.bounds = {0.0, 10.0};
-  auto pdb = ProtectedDatabase::Open(dir.string(), "listings", &clock,
-                                     db_options);
-  if (!pdb.ok()) return 1;
-  ProtectedDatabase& db = **pdb;
+  auto opened = ConcurrentProtectedDatabase::Open(dir.string(), "listings",
+                                                  &clock, db_options);
+  if (!opened.ok()) return 1;
+  ConcurrentProtectedDatabase& db = **opened;
 
   (void)db.ExecuteSql("CREATE TABLE listings (id INT PRIMARY KEY, "
                       "business TEXT, phone TEXT)");
@@ -109,9 +109,10 @@ int main() {
               served, limited);
 
   // --- And each served tuple still pays its delay. ---
+  ProtectedDatabase* inner = db.unsafe_inner();  // No queries in flight.
   double extraction = 0;
   for (int64_t key = 1; key <= kListings; ++key) {
-    extraction += db.PeekDelay(key);
+    extraction += inner->PeekDelay(key);
   }
   std::printf("\nEven with unlimited accounts, extracting all %d "
               "listings costs %.1f minutes of delay.\n",

@@ -275,13 +275,21 @@ void ConcurrentProtectedDatabase::ReputationObserve(
       inner_->clock()->NowSeconds());
 }
 
-double ConcurrentProtectedDatabase::ApplyReputation(ProtectedResult* r,
-                                                    double factor) {
-  if (factor <= 1.0 || r->delay_seconds <= 0.0) return 0.0;
-  const double extra = (factor - 1.0) * r->delay_seconds;
-  r->delay_seconds += extra;
-  if (m_rep_escalated_ != nullptr) m_rep_escalated_->Increment();
-  return extra;
+double ConcurrentProtectedDatabase::ApplySurcharge(
+    ProtectedResult* r, const RequestPrincipal& who, double rep_factor) {
+  r->reputation_factor = rep_factor;
+  const double base = r->delay_seconds;
+  if (base <= 0.0) return 0.0;
+  // Perimeter escalation first, then reputation: each multiplies the
+  // delay priced so far.
+  if (who.escalation > 1.0) {
+    r->delay_seconds += (who.escalation - 1.0) * r->delay_seconds;
+  }
+  if (rep_factor > 1.0) {
+    r->delay_seconds += (rep_factor - 1.0) * r->delay_seconds;
+    if (m_rep_escalated_ != nullptr) m_rep_escalated_->Increment();
+  }
+  return r->delay_seconds - base;
 }
 
 obs::RequestTrace* ConcurrentProtectedDatabase::BeginTrace(
@@ -350,105 +358,50 @@ void ConcurrentProtectedDatabase::EndRequest(
   sink_->Complete(*tr);
 }
 
-Result<ProtectedResult> ConcurrentProtectedDatabase::FinishBlocking(
-    Result<ProtectedResult> r, obs::RequestTrace* tr) {
-  if (!r.ok()) {
-    EndRequest(tr, r, /*cancelled=*/false);
-    return r;
+bool ConcurrentProtectedDatabase::FinishWithoutParking(
+    Result<ProtectedResult>* r, obs::RequestTrace* tr) {
+  if (!r->ok()) {
+    // Nothing was charged; complete on the submitting thread.
+    EndRequest(tr, *r, /*cancelled=*/false);
+    return true;
   }
-  const double delay =
-      concurrent_options_.serve_delays ? r->delay_seconds : 0.0;
-  PhaseMarker park(tr, inner_->clock());
   if (scheduler_ == nullptr) {
-    // Seed behavior: the calling thread sleeps through its own stall
+    // No wheel: the calling thread sleeps through its own stall
     // (rounded up, so sub-microsecond charges still cost wall time).
+    PhaseMarker park(tr, inner_->clock());
+    const double delay =
+        concurrent_options_.serve_delays ? (*r)->delay_seconds : 0.0;
     if (delay > 0) inner_->clock()->SleepForSeconds(delay);
     park.Mark(obs::TracePhase::kPark);
-    EndRequest(tr, r, /*cancelled=*/false);
-    return r;
+    EndRequest(tr, *r, /*cancelled=*/false);
+    return true;
   }
-  // Blocking shim over the wheel: park and wait. Still one thread per
-  // in-flight stall for THIS caller (that is what blocking means), but
-  // the stall shares the same scheduling, accounting, cancellation and
-  // shutdown semantics as the async path.
-  struct Waiter {
-    std::mutex m;
-    std::condition_variable cv;
-    bool done = false;
-    bool cancelled = false;
-  };
   ResourceGovernor* gov = concurrent_options_.governor;
   if (gov != nullptr) {
     Status admit = gov->AdmitStall(0);
     if (!admit.ok()) {
       // Shed before park: the delay charge is already on the books
       // (recorded in the compute phase), so an extraction suspect
-      // still pays — it just doesn't get to occupy a wheel slot.
+      // still pays -- it just doesn't get to occupy a wheel slot.
       EmitEvent(obs::DefenseEventType::kOverloadShed, 0,
-                r->delay_seconds, tr != nullptr ? tr->key : 0);
-      EndRequest(tr, r, /*cancelled=*/false);
-      return admit;
+                (*r)->delay_seconds, tr != nullptr ? tr->key : 0);
+      EndRequest(tr, *r, /*cancelled=*/false);
+      *r = std::move(admit);
+      return true;
     }
   }
-  auto w = std::make_shared<Waiter>();
-  scheduler_->Submit(delay, [w, gov](bool cancelled) {
-    // Release first: expiry, cancellation and shutdown-drain all end
-    // the parked state, whatever the completion outcome.
-    if (gov != nullptr) gov->ReleaseStall(0);
-    std::lock_guard<std::mutex> lock(w->m);
-    w->done = true;
-    w->cancelled = cancelled;
-    w->cv.notify_all();
-  });
-  bool cancelled = false;
-  {
-    std::unique_lock<std::mutex> lock(w->m);
-    w->cv.wait(lock, [&] { return w->done; });
-    cancelled = w->cancelled;
-  }
-  park.Mark(obs::TracePhase::kPark);
-  EndRequest(tr, r, cancelled);
-  if (cancelled) {
-    return Status::Cancelled("stall cancelled before expiry");
-  }
-  return r;
+  return false;
 }
 
-void ConcurrentProtectedDatabase::FinishAsync(Result<ProtectedResult> r,
-                                              AsyncCompletion done,
-                                              StallGroup session,
-                                              obs::RequestTrace* tr) {
-  if (!r.ok()) {
-    // Nothing was charged; complete inline on the submitting thread.
-    EndRequest(tr, r, /*cancelled=*/false);
-    done(std::move(r));
-    return;
-  }
+void ConcurrentProtectedDatabase::Park(Result<ProtectedResult>&& r,
+                                       AsyncCompletion done,
+                                       StallGroup session,
+                                       obs::RequestTrace* tr) {
   const double delay =
       concurrent_options_.serve_delays ? r->delay_seconds : 0.0;
-  if (scheduler_ == nullptr) {
-    // Degenerate (async_stalls off): serve inline, then complete.
-    PhaseMarker park(tr, inner_->clock());
-    if (delay > 0) inner_->clock()->SleepForSeconds(delay);
-    park.Mark(obs::TracePhase::kPark);
-    EndRequest(tr, r, /*cancelled=*/false);
-    done(std::move(r));
-    return;
-  }
   ResourceGovernor* gov = concurrent_options_.governor;
-  if (gov != nullptr) {
-    Status admit = gov->AdmitStall(0);
-    if (!admit.ok()) {
-      // Same keep-the-charge shed as FinishBlocking, completed inline.
-      EmitEvent(obs::DefenseEventType::kOverloadShed, 0,
-                r->delay_seconds, tr != nullptr ? tr->key : 0);
-      EndRequest(tr, r, /*cancelled=*/false);
-      done(std::move(admit));
-      return;
-    }
-  }
   auto shared = std::make_shared<Result<ProtectedResult>>(std::move(r));
-  // The submitting thread's stack frame is gone when the stall
+  // The submitting thread's stack frame may be gone when the stall
   // expires, so the trace rides the closure by value.
   obs::RequestTrace trace_copy;
   const bool traced = tr != nullptr;
@@ -459,6 +412,8 @@ void ConcurrentProtectedDatabase::FinishAsync(Result<ProtectedResult> r,
       delay,
       [this, shared, done = std::move(done), trace_copy, traced,
        park_start, gov](bool cancelled) mutable {
+        // Release first: expiry, cancellation and shutdown-drain all
+        // end the parked state, whatever the completion outcome.
         if (gov != nullptr) gov->ReleaseStall(0);
         obs::RequestTrace* t = traced ? &trace_copy : nullptr;
         if (t != nullptr) {
@@ -477,6 +432,45 @@ void ConcurrentProtectedDatabase::FinishAsync(Result<ProtectedResult> r,
         }
       },
       session);
+}
+
+Result<ProtectedResult> ConcurrentProtectedDatabase::FinishBlocking(
+    Result<ProtectedResult> r, obs::RequestTrace* tr) {
+  if (FinishWithoutParking(&r, tr)) return r;
+  // Park and wait. The completion captures only references, so
+  // std::function stores it inline.
+  struct Waiter {
+    std::mutex m;
+    std::condition_variable cv;
+    bool done = false;
+  };
+  Waiter w;
+  Result<ProtectedResult> out = Status::Internal("unset");
+  Park(
+      std::move(r),
+      [&w, &out](Result<ProtectedResult> res) {
+        out = std::move(res);
+        // Notify under the lock: once `done` is visible the waiter may
+        // return and destroy `w`.
+        std::lock_guard<std::mutex> lock(w.m);
+        w.done = true;
+        w.cv.notify_all();
+      },
+      0, tr);
+  std::unique_lock<std::mutex> lock(w.m);
+  w.cv.wait(lock, [&w] { return w.done; });
+  return out;
+}
+
+void ConcurrentProtectedDatabase::FinishAsync(Result<ProtectedResult> r,
+                                              AsyncCompletion done,
+                                              StallGroup session,
+                                              obs::RequestTrace* tr) {
+  if (FinishWithoutParking(&r, tr)) {
+    done(std::move(r));
+    return;
+  }
+  Park(std::move(r), std::move(done), session, tr);
 }
 
 size_t ConcurrentProtectedDatabase::CancelSession(StallGroup session) {
@@ -1038,12 +1032,12 @@ Result<ProtectedResult> ConcurrentProtectedDatabase::ComputeGetByKey(
       out.delay_seconds = inner_->DelayForAccessStats(stats, key);
     }
 
-    // 2b. Reputation: escalate before the stripe accounting records
-    //     the charge, so accounting matches what the caller is
-    //     charged (and what FinishAsync parks). The access then feeds
-    //     breadth learning for future factors.
+    // 2b. Perimeter escalation and reputation: escalate before the
+    //     stripe accounting records the charge, so accounting matches
+    //     what the caller is charged (and what Park parks). The
+    //     access then feeds breadth learning for future factors.
     if (who != nullptr) {
-      ApplyReputation(&out, factor);
+      ApplySurcharge(&out, *who, factor);
       ReputationObserve(who, key, stats_tracker_->universe_size());
     }
 
@@ -1171,14 +1165,14 @@ Result<ProtectedResult> ConcurrentProtectedDatabase::ComputeExecuteSql(
     });
   }
   if (result.ok() && who != nullptr) {
-    // The inner engine accounted the BASE delay; the reputation
-    // surcharge is accounted in an acct stripe so Metrics() still
-    // equals the sum of caller-charged delays.
+    // The inner engine accounted the BASE delay; the surcharge is
+    // accounted in an acct stripe so Metrics() and the ledger still
+    // equal the sum of caller-charged delays.
     const uint64_t n = stats_tracker_->universe_size();
     for (int64_t key : result->result.touched_keys) {
       ReputationObserve(who, key, n);
     }
-    const double extra = ApplyReputation(&*result, factor);
+    const double extra = ApplySurcharge(&*result, *who, factor);
     if (extra > 0.0) {
       AcctStripe& acct = *acct_stripes_[0];
       std::lock_guard<std::mutex> lock(acct.mu);

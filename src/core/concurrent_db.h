@@ -29,14 +29,19 @@ namespace tarpit {
 
 /// Caller-attributed principal for a request entering the concurrent
 /// front door. The door does no registration or rate limiting (that is
-/// the QueryGate's job); given a principal it escalates the charged
-/// delay by the principal's reputation penalty and feeds served
-/// accesses back as breadth observations. Principal-less entry points
-/// behave exactly as before.
+/// the QueryGate perimeter's job); given a principal it escalates the
+/// charged delay by the perimeter's escalation and the principal's
+/// reputation penalty, and feeds served accesses back as breadth
+/// observations. Principal-less entry points are never escalated.
 struct RequestPrincipal {
   uint64_t identity = 0;
   /// The identity's /24 network (Identity::Subnet24() at the gate).
   uint32_t subnet24 = 0;
+  /// Perimeter escalation (the gate's coverage multiplier, >= 1),
+  /// decided before the request. The door prices it together with the
+  /// reputation factor, so the surcharge is served, parked and
+  /// accounted like the base delay.
+  double escalation = 1.0;
 };
 
 /// Tuning knobs for the concurrent front door.
@@ -83,13 +88,13 @@ struct ConcurrentDatabaseOptions {
   /// the database and be safe from concurrent request threads. Null
   /// disables reputation here; requests without a RequestPrincipal are
   /// never escalated either way. Escalation happens in the COMPUTE
-  /// phase, before FinishBlocking/FinishAsync serves or parks the
-  /// stall, so the async park path parks the post-escalation delay.
+  /// phase, before the stall is served or parked, so the park path
+  /// parks the post-escalation delay.
   PrincipalPenalty* reputation = nullptr;
-  /// Overload governor (shed-before-collapse), typically shared with
-  /// the QueryGate. When set, a stall is admitted against the
-  /// parked-stall budgets before it reaches the wheel; refusals
-  /// complete with Status::Overloaded AFTER the delay charge was
+  /// Overload governor (shed-before-collapse). When set, a stall is
+  /// admitted against the parked-stall budgets before it reaches the
+  /// wheel; refusals complete with Status::Overloaded AFTER the delay
+  /// charge was
   /// recorded in the compute phase, so shed extraction-suspects still
   /// pay their accounting/reputation penalty. The MVCC write path
   /// additionally consults CheckWrite against the WAL-backlog and
@@ -230,6 +235,12 @@ class ConcurrentProtectedDatabase {
   /// The wheel, for observability (null unless async_stalls).
   DelayScheduler* delay_scheduler() { return scheduler_.get(); }
 
+  /// The injected clock and the wrapped engine's (immutable) options.
+  Clock* clock() const { return inner_->clock(); }
+  const ProtectedDatabaseOptions& options() const {
+    return inner_->options();
+  }
+
   Status BulkLoadRow(const Row& row);
   Status Checkpoint();
 
@@ -346,10 +357,13 @@ class ConcurrentProtectedDatabase {
   /// thread-safe tracker.
   void ReputationObserve(const RequestPrincipal* who, int64_t key,
                          uint64_t universe_n);
-  /// Escalates `r`'s charged delay by `factor` (counting the metric).
-  /// Returns the surcharge; the CALLER must account it in an acct
-  /// stripe so Metrics() keeps matching what callers were charged.
-  double ApplyReputation(ProtectedResult* r, double factor);
+  /// Escalates `r`'s charged delay by `who`'s perimeter escalation,
+  /// then by `rep_factor` (counting the metric), and records
+  /// `rep_factor` on `r`. Returns the surcharge; the CALLER must
+  /// account it in an acct stripe so Metrics() keeps matching what
+  /// callers were charged.
+  double ApplySurcharge(ProtectedResult* r, const RequestPrincipal& who,
+                        double rep_factor);
   void InvalidateRowCaches();
   /// Drops the cached row for `key` (commit precision invalidation;
   /// whole-cache invalidation stays on the DDL path).
@@ -394,12 +408,23 @@ class ConcurrentProtectedDatabase {
   /// trace to the sink. Safe with tr == null (metrics still recorded).
   void EndRequest(obs::RequestTrace* tr,
                   const Result<ProtectedResult>& r, bool cancelled);
-  /// Blocking stall service: sleeps inline, or (async_stalls) parks on
-  /// the wheel and waits -- the shim that keeps existing callers
-  /// working. Cancellation surfaces as Status::Cancelled.
+  /// Stall service, step 1, shared by both finishers: completes `*r`
+  /// without parking when it can -- an error (nothing was charged), no
+  /// wheel (the calling thread sleeps through the stall), or a
+  /// governor shed (`*r` becomes Overloaded; the charge stands).
+  /// Returns false when the stall must park; its governor slot is then
+  /// already admitted.
+  bool FinishWithoutParking(Result<ProtectedResult>* r,
+                            obs::RequestTrace* tr);
+  /// Stall service, step 2: parks an admitted stall on the wheel;
+  /// `done` fires on expiry or cancellation and the slot is released.
+  void Park(Result<ProtectedResult>&& r, AsyncCompletion done,
+            StallGroup session, obs::RequestTrace* tr);
+  /// Blocking finisher: parks with a completion that wakes the calling
+  /// thread. Cancellation surfaces as Status::Cancelled.
   Result<ProtectedResult> FinishBlocking(Result<ProtectedResult> r,
                                          obs::RequestTrace* tr);
-  /// Async stall service: parks the stall and fires `done` on expiry.
+  /// Async finisher: fires `done` inline or on stall expiry.
   void FinishAsync(Result<ProtectedResult> r, AsyncCompletion done,
                    StallGroup session, obs::RequestTrace* tr);
 

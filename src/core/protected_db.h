@@ -95,6 +95,9 @@ struct ProtectedDatabaseMetrics {
 struct ProtectedResult {
   QueryResult result;
   double delay_seconds = 0;
+  /// Reputation penalty factor the concurrent door priced this request
+  /// with (>= 1; 1 for principal-less requests or reputation off).
+  double reputation_factor = 1.0;
 };
 
 /// The full system of the paper: a relational database whose front door

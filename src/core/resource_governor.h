@@ -42,8 +42,7 @@ struct ResourceGovernorOptions {
 /// still pays its reputation/accounting penalty (PR 6 semantics); it
 /// just doesn't get to occupy memory while doing so.
 ///
-/// Thread-safe; one instance typically fronts one engine and is shared
-/// by both front doors (QueryGate and ConcurrentProtectedDatabase).
+/// Thread-safe; one instance fronts one ConcurrentProtectedDatabase.
 class ResourceGovernor {
  public:
   explicit ResourceGovernor(ResourceGovernorOptions options = {});

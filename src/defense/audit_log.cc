@@ -12,7 +12,6 @@ std::string AuditEventName(AuditEvent event) {
     case AuditEvent::kLifetimeCapHit: return "lifetime-cap";
     case AuditEvent::kCoverageEscalated: return "coverage-escalated";
     case AuditEvent::kReputationEscalated: return "reputation-escalated";
-    case AuditEvent::kOverloadShed: return "overload-shed";
   }
   return "unknown";
 }
@@ -33,7 +32,7 @@ void AuditLog::Record(AuditRecord record) {
     if (m_dropped_ != nullptr) m_dropped_->Increment();
   }
   if (ring_ != nullptr) {
-    // AuditEvent values 0..8 map 1:1 onto the first nine
+    // AuditEvent values 0..7 map 1:1 onto the first eight
     // DefenseEventType values (the ring's enum extends this one).
     obs::DefenseEvent e;
     e.time_micros = static_cast<int64_t>(record.time_seconds * 1e6);

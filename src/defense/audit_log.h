@@ -23,10 +23,6 @@ enum class AuditEvent : uint8_t {
   kLifetimeCapHit,
   kCoverageEscalated,
   kReputationEscalated,
-  /// The resource governor refused to park this request's stall
-  /// (overload shed). The delay was still charged -- magnitude is the
-  /// charged-but-unserved delay in seconds.
-  kOverloadShed,
 };
 
 std::string AuditEventName(AuditEvent event);

@@ -1,11 +1,13 @@
 #include "defense/query_gate.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 
 namespace tarpit {
 
-QueryGate::QueryGate(ProtectedDatabase* db, QueryGateOptions options)
+QueryGate::QueryGate(ConcurrentProtectedDatabase* db,
+                     QueryGateOptions options)
     : db_(db),
       options_(options),
       reg_limiter_(options.registration_seconds_per_account,
@@ -14,6 +16,10 @@ QueryGate::QueryGate(ProtectedDatabase* db, QueryGateOptions options)
       // The audit trail stamps from the database's clock so
       // virtual-clock simulations get reproducible timestamps.
       audit_log_(db->clock()) {
+  // The gate only signals the store; the door prices with it. Two
+  // different stores would split one principal's penalty in half.
+  assert(options_.reputation == nullptr ||
+         options_.reputation == db->concurrent_options().reputation);
   audit_log_.BindMetrics(options_.metrics);
   if (options_.events != nullptr) {
     audit_log_.set_event_ring(options_.events);
@@ -27,21 +33,17 @@ QueryGate::QueryGate(ProtectedDatabase* db, QueryGateOptions options)
                                      {{"reason", "subnet-rate"}});
     m_denied_user_ = m->GetCounter("tarpit_gate_denials_total",
                                    {{"reason", "user-rate"}});
-    m_denied_overload_ = m->GetCounter("tarpit_gate_denials_total",
-                                       {{"reason", "overload"}});
     m_registrations_ = m->GetCounter("tarpit_gate_registrations_total");
     m_reg_denied_ = m->GetCounter("tarpit_gate_denials_total",
                                   {{"reason", "registration"}});
     m_escalations_ =
         m->GetCounter("tarpit_gate_coverage_escalations_total");
-    m_rep_escalations_ = m->GetCounter(
-        "tarpit_reputation_escalations_total", {{"door", "serial"}});
     obs::HistogramOptions permille;
     permille.unit = "permille";
     // Factor 1.0 records as 1000, so quantiles read directly as
     // multipliers with 0.1% granularity.
     m_rep_factor_permille_ = m->GetHistogram(
-        "tarpit_reputation_factor_permille", {{"door", "serial"}},
+        "tarpit_reputation_factor_permille", {{"door", "concurrent"}},
         permille);
     obs::HistogramOptions ns;
     ns.sub_bits = 11;
@@ -169,35 +171,22 @@ Result<ProtectedResult> QueryGate::ExecuteSql(const Identity& identity,
   if (m_admits_ != nullptr) m_admits_->Increment();
 
   // Coverage escalation uses the factor accrued *before* this query so
-  // a first-time crossing is not penalized retroactively.
+  // a first-time crossing is not penalized retroactively. The door
+  // prices it together with the reputation factor.
   double escalation = 1.0;
-  uint64_t n = 0;
   if (options_.coverage_escalation) {
-    n = db_->access_tracker()->universe_size();
-    escalation = coverage_monitor_.EscalationFactor(identity.id, n);
+    escalation = coverage_monitor_.EscalationFactor(
+        identity.id, db_->concurrent_access_tracker()->universe_size());
   }
-  // Reputation uses the factor accrued before this query too: the
-  // penalty earned *by* this query lands on the next one.
-  double rep_factor = 1.0;
-  if (options_.reputation != nullptr) {
-    rep_factor = std::max(
-        1.0, options_.reputation->PenaltyFactor(
-                 identity.id, identity.Subnet24(), now));
-  }
-  Result<ProtectedResult> result = db_->ExecuteSql(sql);
+  Result<ProtectedResult> result = db_->ExecuteSql(
+      sql, RequestPrincipal{identity.id, identity.Subnet24(), escalation});
   if (!result.ok()) return result;
+  const double rep_factor = result->reputation_factor;
   if (options_.coverage_escalation) {
     for (int64_t key : result->result.touched_keys) {
       coverage_monitor_.RecordAccess(identity.id, key);
     }
     if (escalation > 1.0 && result->delay_seconds > 0) {
-      const double extra = (escalation - 1.0) * result->delay_seconds;
-      if (!db_->options().defer_delay_sleep) {
-        // Round up (see Clock::DelayToMicros): escalation surcharges
-        // below 1 µs must still cost wall time.
-        db_->clock()->SleepForSeconds(extra);
-      }
-      result->delay_seconds += extra;
       record.event = AuditEvent::kCoverageEscalated;
       record.magnitude = escalation;
       audit_log_.Record(record);
@@ -205,34 +194,19 @@ Result<ProtectedResult> QueryGate::ExecuteSql(const Identity& identity,
     }
   }
   if (options_.reputation != nullptr) {
-    ReputationStore* rep = options_.reputation;
-    // Every served tuple feeds the store's breadth learning (HLL per
-    // identity AND per subnet -- the subnet sketch is what identity
-    // churn cannot shed).
-    const uint64_t universe = db_->access_tracker()->universe_size();
-    for (int64_t key : result->result.touched_keys) {
-      rep->ObserveAccess(identity.id, identity.Subnet24(), key, universe,
-                         now);
-    }
     // A coverage-monitor escalation is itself an extraction signal.
     if (escalation > 1.0) {
-      rep->RecordSignal(identity.id, identity.Subnet24(), now,
-                        ReputationSignal::kExternal);
+      options_.reputation->RecordSignal(identity.id, identity.Subnet24(),
+                                        now, ReputationSignal::kExternal);
     }
     if (m_rep_factor_permille_ != nullptr) {
       m_rep_factor_permille_->Record(
           static_cast<int64_t>(std::llround(rep_factor * 1000.0)));
     }
     if (rep_factor > 1.0 && result->delay_seconds > 0) {
-      const double extra = (rep_factor - 1.0) * result->delay_seconds;
-      if (!db_->options().defer_delay_sleep) {
-        db_->clock()->SleepForSeconds(extra);
-      }
-      result->delay_seconds += extra;
       record.event = AuditEvent::kReputationEscalated;
       record.magnitude = rep_factor;
       audit_log_.Record(record);
-      if (m_rep_escalations_ != nullptr) m_rep_escalations_->Increment();
     }
   }
   if (options_.risk != nullptr) {
@@ -265,65 +239,6 @@ Result<ProtectedResult> QueryGate::ExecuteSql(const Identity& identity,
   record.magnitude = result->delay_seconds;
   audit_log_.Record(record);
   return result;
-}
-
-void QueryGate::ExecuteSqlAsync(const Identity& identity,
-                                const std::string& sql,
-                                DelayScheduler* scheduler,
-                                AsyncCompletion done,
-                                StallGroup session) {
-  // Perimeter checks + compute + accounting run inline (the gate is
-  // not thread-safe; this is the same admit path as ExecuteSql). Only
-  // the stall moves off-thread: it parks on the wheel and `done` fires
-  // on a dispatcher at expiry -- instantly under a VirtualClock, which
-  // is how simulations drive the async perimeter on one timeline.
-  Result<ProtectedResult> result = ExecuteSql(identity, sql);
-  if (!result.ok()) {
-    done(std::move(result));
-    return;
-  }
-  // When the database is configured to defer stall serving
-  // (defer_delay_sleep), the whole charged delay is still owed; park
-  // it. Otherwise the inner engine already slept and we owe nothing.
-  const double park =
-      db_->options().defer_delay_sleep ? result->delay_seconds : 0.0;
-  ResourceGovernor* gov = options_.governor;
-  if (gov != nullptr) {
-    Status admit = gov->AdmitStall(0);
-    if (!admit.ok()) {
-      // Shed before park. The delay -- including any coverage or
-      // reputation surcharge -- is already charged and the served
-      // tuples already fed breadth learning, so the suspect's penalty
-      // sticks; only the wheel slot (and the tuple) is refused.
-      AuditRecord record;
-      record.event = AuditEvent::kOverloadShed;
-      record.identity = identity.id;
-      record.ipv4 = identity.ipv4;
-      record.magnitude = result->delay_seconds;
-      audit_log_.Record(record);
-      if (m_denied_overload_ != nullptr) m_denied_overload_->Increment();
-      if (options_.risk != nullptr) {
-        options_.risk->ObserveSignal(identity.id, 1.0, NowSeconds());
-      }
-      done(std::move(admit));
-      return;
-    }
-  }
-  auto shared = std::make_shared<Result<ProtectedResult>>(
-      std::move(result));
-  scheduler->Submit(
-      park,
-      [gov, shared, done = std::move(done)](bool cancelled) {
-        if (gov != nullptr) gov->ReleaseStall(0);
-        if (cancelled) {
-          done(Status::Cancelled(
-              "stall cancelled before expiry (session evicted or "
-              "scheduler shut down)"));
-        } else {
-          done(std::move(*shared));
-        }
-      },
-      session);
 }
 
 double QueryGate::RetryAfter(const Identity& identity) {

@@ -2,15 +2,12 @@
 #define TARPIT_DEFENSE_QUERY_GATE_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <unordered_map>
 
 #include "common/result.h"
 #include "common/status.h"
-#include "core/delay_scheduler.h"
-#include "core/protected_db.h"
-#include "core/resource_governor.h"
+#include "core/concurrent_db.h"
 #include "defense/audit_log.h"
 #include "defense/coverage_monitor.h"
 #include "defense/identity.h"
@@ -42,26 +39,15 @@ struct QueryGateOptions {
   /// have their delays multiplied.
   bool coverage_escalation = false;
   CoverageMonitorOptions coverage;
-  /// Reputation-escalating delay (ROADMAP open item 2). Not owned and
-  /// deliberately external: one store can back several gates and the
-  /// concurrent front door at once, and -- because it is keyed by
-  /// identity/subnet, not session -- its penalties survive
-  /// SessionManager eviction and gate re-creation. The gate feeds it
-  /// rate-limit denials and coverage escalations as signals, feeds
-  /// every served tuple as a breadth observation, and multiplies each
-  /// query's charged delay by the principal's penalty factor accrued
-  /// *before* the query (same no-retroactive-penalty rule as coverage
-  /// escalation). Null disables reputation entirely.
+  /// Reputation store fed by the perimeter: rate-limit denials and
+  /// coverage escalations become penalty signals. Must be the same
+  /// store the door prices with (ConcurrentDatabaseOptions::reputation),
+  /// which multiplies each charged delay by the penalty accrued
+  /// *before* the query and feeds every served tuple as a breadth
+  /// observation. Not owned; keyed by identity/subnet, not session, so
+  /// its penalties survive SessionManager eviction and gate
+  /// re-creation. Null disables the perimeter's signals.
   ReputationStore* reputation = nullptr;
-  /// Overload governor (shed-before-collapse), typically shared with
-  /// the concurrent front door. Consulted only by ExecuteSqlAsync
-  /// before the charged stall parks: when the parked-stall budgets are
-  /// exhausted the request completes with Status::Overloaded instead
-  /// of occupying the wheel. The delay (including any coverage /
-  /// reputation surcharge) was already charged -- the accounting and
-  /// reputation penalty stick, an extraction suspect cannot convert
-  /// overload into free tuples. Not owned; must outlive the gate.
-  ResourceGovernor* governor = nullptr;
   /// When non-null the gate publishes admission/denial counters and
   /// the delay-charged histograms (split legitimate vs flagged by the
   /// coverage monitor) here. Must outlive the gate.
@@ -79,14 +65,18 @@ struct QueryGateOptions {
   obs::RiskScorer* risk = nullptr;
 };
 
-/// The front door: account registration plus per-user and per-subnet
-/// rate limiting wrapped around the delay-protected database. Every
-/// path an adversary has into the data passes through here.
+/// The perimeter in front of the concurrent door: account
+/// registration, per-user and per-subnet rate limiting, the lifetime
+/// cap, and coverage/audit/risk bookkeeping. Every path an adversary
+/// has into the data passes through here. Pricing, serving, parking
+/// and shedding are the door's: the gate hands it the principal and
+/// its coverage escalation, and reads back what was charged.
+/// Single-threaded.
 class QueryGate {
  public:
   /// `db` must outlive the gate; the gate reads time from the db's
   /// clock so simulations stay on one timeline.
-  QueryGate(ProtectedDatabase* db, QueryGateOptions options);
+  QueryGate(ConcurrentProtectedDatabase* db, QueryGateOptions options);
 
   /// Registers a new account from `ipv4`. RateLimited when the
   /// registration quota is exhausted.
@@ -96,21 +86,6 @@ class QueryGate {
   /// perimeter limit trips -- the statement is not executed.
   Result<ProtectedResult> ExecuteSql(const Identity& identity,
                                      const std::string& sql);
-
-  using AsyncCompletion = std::function<void(Result<ProtectedResult>)>;
-
-  /// Async perimeter execution: admit + compute + delay accounting run
-  /// inline on the caller (the gate itself is single-threaded, like
-  /// the serial ProtectedDatabase it fronts); the charged stall parks
-  /// on `scheduler` and `done` fires on a dispatcher thread at expiry.
-  /// Perimeter denials complete inline. Requires the database to be
-  /// opened with defer_delay_sleep -- otherwise the inner engine has
-  /// already served the stall and nothing is parked. `session` groups
-  /// the parked stall for DelayScheduler::CancelGroup (session
-  /// eviction).
-  void ExecuteSqlAsync(const Identity& identity, const std::string& sql,
-                       DelayScheduler* scheduler, AsyncCompletion done,
-                       StallGroup session = 0);
 
   /// Seconds until `identity` may issue another query (0 = now).
   double RetryAfter(const Identity& identity);
@@ -131,7 +106,7 @@ class QueryGate {
   TokenBucket& SubnetFor(uint32_t subnet);
   double NowSeconds() const;
 
-  ProtectedDatabase* db_;
+  ConcurrentProtectedDatabase* db_;
   QueryGateOptions options_;
   RegistrationLimiter reg_limiter_;
   CoverageMonitor coverage_monitor_;
@@ -144,11 +119,9 @@ class QueryGate {
   obs::Counter* m_denied_lifetime_ = nullptr;
   obs::Counter* m_denied_subnet_ = nullptr;
   obs::Counter* m_denied_user_ = nullptr;
-  obs::Counter* m_denied_overload_ = nullptr;
   obs::Counter* m_registrations_ = nullptr;
   obs::Counter* m_reg_denied_ = nullptr;
   obs::Counter* m_escalations_ = nullptr;
-  obs::Counter* m_rep_escalations_ = nullptr;
   obs::Histogram* m_rep_factor_permille_ = nullptr;
   obs::Histogram* m_delay_legit_ns_ = nullptr;
   obs::Histogram* m_delay_flagged_ns_ = nullptr;

@@ -41,9 +41,8 @@ GateAttackReport RunGateExtraction(QueryGate* gate, VirtualClock* clock,
   // timeline (busy until its last stall ends); the global clock is
   // advanced to each query's issue time, and the served delay extends
   // only that identity's timeline -- the parallel-attack semantics of
-  // paper section 2.4. Requires the database to run in
-  // defer_delay_sleep mode so ExecuteSql does not advance the shared
-  // clock itself.
+  // paper section 2.4. Requires the door to run with serve_delays =
+  // false so ExecuteSql does not advance the shared clock itself.
   struct Worker {
     Identity identity;
     double next_free;

@@ -29,13 +29,13 @@ void PageGuard::MarkDirty() {
 
 void PageGuard::LatchShared() {
   assert(page_ != nullptr && latch_ == PageLatchMode::kNone);
-  page_->latch_.lock_shared();
+  page_->latch_->lock_shared();
   latch_ = PageLatchMode::kShared;
 }
 
 void PageGuard::LatchExclusive() {
   assert(page_ != nullptr && latch_ == PageLatchMode::kNone);
-  page_->latch_.lock();
+  page_->latch_->lock();
   latch_ = PageLatchMode::kExclusive;
 }
 
@@ -45,10 +45,10 @@ void PageGuard::Unlatch() {
     case PageLatchMode::kNone:
       break;
     case PageLatchMode::kShared:
-      page_->latch_.unlock_shared();
+      page_->latch_->unlock_shared();
       break;
     case PageLatchMode::kExclusive:
-      page_->latch_.unlock();
+      page_->latch_->unlock();
       break;
   }
   latch_ = PageLatchMode::kNone;

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <shared_mutex>
 
 namespace tarpit {
@@ -58,8 +59,6 @@ class Page {
   char* data() { return data_; }
   const char* data() const { return data_; }
 
-  std::shared_mutex& latch() { return latch_; }
-
   PageId page_id() const {
     return page_id_.load(std::memory_order_acquire);
   }
@@ -77,6 +76,16 @@ class Page {
     page_id_.store(kInvalidPageId, std::memory_order_release);
     is_dirty_.store(false, std::memory_order_relaxed);
     pin_count_.store(0, std::memory_order_relaxed);
+    // A fresh latch for the frame's next page. Latch-coupled descents
+    // order latches by page (meta -> parent -> child, left -> right),
+    // but a recycled frame can hold the meta page now and a child page
+    // later, so a latch kept across pages would record both orders
+    // between two frames -- a false lock-order inversion to any
+    // checker that keys locks by object (TSan). A new allocation is a
+    // new object to such a checker. Replacing it is safe: the frame is
+    // exclusively owned with pin == 0, and only pin holders latch, so
+    // no thread holds or waits on the old latch.
+    latch_ = std::make_unique<std::shared_mutex>();
   }
 
  private:
@@ -89,7 +98,7 @@ class Page {
   std::atomic<int> pin_count_{0};
   // Never held across frame recycling: holders keep a pin, and a frame
   // is only reclaimed once its pin count is observed at zero.
-  std::shared_mutex latch_;
+  std::unique_ptr<std::shared_mutex> latch_;
 };
 
 }  // namespace tarpit

@@ -16,7 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "common/clock.h"
-#include "core/protected_db.h"
+#include "core/concurrent_db.h"
 #include "defense/query_gate.h"
 #include "defense/reputation.h"
 #include "sim/adversary_zoo.h"
@@ -61,13 +61,13 @@ const char* LayerName(Layer layer) {
 struct Stack {
   fs::path dir;
   std::unique_ptr<VirtualClock> clock;
-  std::unique_ptr<ProtectedDatabase> pdb;
   std::unique_ptr<ReputationStore> reputation;
+  std::unique_ptr<ConcurrentProtectedDatabase> db;
   std::unique_ptr<QueryGate> gate;
 
   ~Stack() {
     gate.reset();
-    pdb.reset();
+    db.reset();
     if (!dir.empty()) fs::remove_all(dir);
   }
 };
@@ -89,22 +89,6 @@ std::unique_ptr<Stack> MakeStack(Layer layer, const std::string& name,
   ProtectedDatabaseOptions opts;
   opts.popularity.scale = 1e9;  // Everything costs the cap.
   opts.popularity.bounds = {0.0, 1.0};
-  opts.defer_delay_sleep = true;  // Discrete-event drivers advance time.
-  auto pdb = ProtectedDatabase::Open(stack->dir.string(), "items",
-                                     stack->clock.get(), opts);
-  EXPECT_TRUE(pdb.ok());
-  if (!pdb.ok()) return nullptr;
-  stack->pdb = std::move(*pdb);
-  EXPECT_TRUE(stack->pdb
-                  ->ExecuteSql(
-                      "CREATE TABLE items (id INT PRIMARY KEY, v DOUBLE)")
-                  .ok());
-  for (int64_t key = 1; key <= n; ++key) {
-    if (present != nullptr && !present(key)) continue;
-    EXPECT_TRUE(
-        stack->pdb->BulkLoadRow({Value(key), Value(1.0)}).ok());
-  }
-
   QueryGateOptions gate_opts;
   gate_opts.registration_seconds_per_account = 0.0;
   gate_opts.registration_burst = 1e9;
@@ -130,8 +114,25 @@ std::unique_ptr<Stack> MakeStack(Layer layer, const std::string& name,
     stack->reputation = std::make_unique<ReputationStore>(rep);
     gate_opts.reputation = stack->reputation.get();
   }
+  ConcurrentDatabaseOptions copts;
+  copts.serve_delays = false;  // Discrete-event drivers advance time.
+  copts.reputation = stack->reputation.get();
+  auto db = ConcurrentProtectedDatabase::Open(
+      stack->dir.string(), "items", stack->clock.get(), opts, copts);
+  EXPECT_TRUE(db.ok());
+  if (!db.ok()) return nullptr;
+  stack->db = std::move(*db);
+  EXPECT_TRUE(stack->db
+                  ->ExecuteSql(
+                      "CREATE TABLE items (id INT PRIMARY KEY, v DOUBLE)")
+                  .ok());
+  for (int64_t key = 1; key <= n; ++key) {
+    if (present != nullptr && !present(key)) continue;
+    EXPECT_TRUE(
+        stack->db->BulkLoadRow({Value(key), Value(1.0)}).ok());
+  }
   stack->gate =
-      std::make_unique<QueryGate>(stack->pdb.get(), gate_opts);
+      std::make_unique<QueryGate>(stack->db.get(), gate_opts);
   return stack;
 }
 

@@ -1,4 +1,3 @@
-#include <atomic>
 #include <cmath>
 #include <filesystem>
 #include <memory>
@@ -6,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "common/clock.h"
+#include "core/concurrent_db.h"
 #include "defense/audit_log.h"
 #include "defense/coverage_monitor.h"
 #include "defense/identity.h"
@@ -99,33 +99,37 @@ class QueryGateTest : public ::testing::Test {
     ProtectedDatabaseOptions opts;
     opts.popularity.scale = 0.001;
     opts.popularity.bounds = {0.0, 10.0};
-    auto pdb =
-        ProtectedDatabase::Open(dir_.string(), "items", &clock_, opts);
-    ASSERT_TRUE(pdb.ok());
-    pdb_ = std::move(*pdb);
+    auto db = ConcurrentProtectedDatabase::Open(dir_.string(), "items",
+                                                &clock_, opts);
+    ASSERT_TRUE(db.ok());
+    db_ = std::move(*db);
     ASSERT_TRUE(
-        pdb_->ExecuteSql(
-                "CREATE TABLE items (id INT PRIMARY KEY, v DOUBLE)")
+        db_->ExecuteSql(
+               "CREATE TABLE items (id INT PRIMARY KEY, v DOUBLE)")
             .ok());
     for (int i = 0; i < 10; ++i) {
-      ASSERT_TRUE(pdb_->BulkLoadRow({Value(static_cast<int64_t>(i)),
-                                     Value(i * 1.0)})
+      ASSERT_TRUE(db_->BulkLoadRow({Value(static_cast<int64_t>(i)),
+                                    Value(i * 1.0)})
                       .ok());
     }
+    // SELECTs record into the inner tracker directly, so it stays
+    // exact for inspection between single-threaded queries.
+    pdb_ = db_->unsafe_inner();
   }
   void TearDown() override {
     gate_.reset();
-    pdb_.reset();
+    db_.reset();
     fs::remove_all(dir_);
   }
 
   void MakeGate(QueryGateOptions opts) {
-    gate_ = std::make_unique<QueryGate>(pdb_.get(), opts);
+    gate_ = std::make_unique<QueryGate>(db_.get(), opts);
   }
 
   fs::path dir_;
   VirtualClock clock_;
-  std::unique_ptr<ProtectedDatabase> pdb_;
+  std::unique_ptr<ConcurrentProtectedDatabase> db_;
+  ProtectedDatabase* pdb_ = nullptr;
   std::unique_ptr<QueryGate> gate_;
 };
 
@@ -243,98 +247,6 @@ TEST_F(QueryGateTest, RateLimitedQueryDoesNotExecute) {
   auto r = gate_->ExecuteSql(*user, "SELECT * FROM items WHERE id = 2");
   EXPECT_TRUE(r.status().IsRateLimited());
   EXPECT_EQ(pdb_->access_tracker()->total_requests(), requests_before);
-}
-
-// ---------- QueryGate::ExecuteSqlAsync ----------
-
-// On a virtual clock the scheduler is in instant-fire mode: the parked
-// stall completes immediately through the completion queue, so
-// simulations can drive the async perimeter on one timeline.
-TEST_F(QueryGateTest, ExecuteSqlAsyncCompletesOnVirtualClock) {
-  MakeGate(QueryGateOptions{});
-  auto user = gate_->RegisterUser(Ipv4FromString("10.0.0.1"));
-  ASSERT_TRUE(user.ok());
-  DelayScheduler scheduler(&clock_);
-  ASSERT_TRUE(scheduler.virtual_time());
-
-  std::atomic<bool> got_row{false};
-  gate_->ExecuteSqlAsync(*user, "SELECT * FROM items WHERE id = 3",
-                         &scheduler, [&](Result<ProtectedResult> r) {
-                           got_row = r.ok() && r->result.rows.size() == 1;
-                         });
-  scheduler.Drain();
-  EXPECT_TRUE(got_row.load());
-  EXPECT_EQ(gate_->LifetimeQueries(user->id), 1u);
-}
-
-// Perimeter denials never reach the scheduler: the completion fires
-// inline with the denial status and nothing executes.
-TEST_F(QueryGateTest, ExecuteSqlAsyncDenialCompletesInline) {
-  QueryGateOptions opts;
-  opts.per_user_queries_per_second = 0.0;
-  opts.per_user_burst = 0.5;  // Not even one query.
-  MakeGate(opts);
-  auto user = gate_->RegisterUser(Ipv4FromString("10.0.0.1"));
-  ASSERT_TRUE(user.ok());
-  DelayScheduler scheduler(&clock_);
-
-  bool completed = false;
-  Status status;
-  gate_->ExecuteSqlAsync(*user, "SELECT * FROM items WHERE id = 1",
-                         &scheduler, [&](Result<ProtectedResult> r) {
-                           completed = true;  // Inline: no race.
-                           status = r.status();
-                         });
-  EXPECT_TRUE(completed);
-  EXPECT_TRUE(status.IsRateLimited());
-  EXPECT_EQ(scheduler.scheduled_total(), 0u);
-}
-
-// Real clock + defer_delay_sleep: the charged stall parks on the wheel
-// under the caller's session group, and evicting the session cancels
-// it -- the result is withheld (Cancelled), never delivered early.
-TEST(QueryGateAsyncTest, SessionEvictionCancelsParkedStall) {
-  fs::path dir = fs::temp_directory_path() /
-                 ("tarpit_gate_async_" + std::to_string(::getpid()));
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  RealClock clock;
-  ProtectedDatabaseOptions opts;
-  opts.popularity.scale = 1e12;             // Everything hits the cap.
-  opts.popularity.bounds = {0.0, 3600.0};   // Hour-long stalls.
-  opts.defer_delay_sleep = true;            // The gate parks, not sleeps.
-  auto pdb = ProtectedDatabase::Open(dir.string(), "items", &clock, opts);
-  ASSERT_TRUE(pdb.ok());
-  ASSERT_TRUE((*pdb)
-                  ->ExecuteSql("CREATE TABLE items (id INT PRIMARY KEY, "
-                               "v DOUBLE)")
-                  .ok());
-  ASSERT_TRUE(
-      (*pdb)->BulkLoadRow({Value(static_cast<int64_t>(1)), Value(1.0)})
-          .ok());
-  QueryGate gate(pdb->get(), QueryGateOptions{});
-  auto user = gate.RegisterUser(Ipv4FromString("10.0.0.1"));
-  ASSERT_TRUE(user.ok());
-  DelayScheduler scheduler(&clock);
-
-  constexpr StallGroup kSession = 77;
-  std::atomic<bool> completed{false};
-  std::atomic<bool> cancelled{false};
-  gate.ExecuteSqlAsync(
-      *user, "SELECT * FROM items WHERE id = 1", &scheduler,
-      [&](Result<ProtectedResult> r) {
-        cancelled = !r.ok() && r.status().IsCancelled();
-        completed = true;
-      },
-      kSession);
-  EXPECT_FALSE(completed.load());  // Parked for an hour, not served.
-  EXPECT_EQ(scheduler.parked(), 1u);
-  EXPECT_EQ(scheduler.CancelGroup(kSession), 1u);
-  scheduler.Drain();
-  EXPECT_TRUE(completed.load());
-  EXPECT_TRUE(cancelled.load());
-  pdb->reset();
-  fs::remove_all(dir);
 }
 
 // ---------- AuditLog ----------

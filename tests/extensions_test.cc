@@ -14,6 +14,7 @@
 #include "common/hyperloglog.h"
 #include "common/random.h"
 #include "core/combined_delay.h"
+#include "core/concurrent_db.h"
 #include "core/protected_db.h"
 #include "defense/coverage_monitor.h"
 #include "defense/query_gate.h"
@@ -357,28 +358,28 @@ class GateEscalationTest : public ::testing::Test {
     ProtectedDatabaseOptions opts;
     opts.popularity.scale = 0.01;
     opts.popularity.bounds = {0.0, 10.0};
-    auto pdb =
-        ProtectedDatabase::Open(dir_.string(), "items", &clock_, opts);
-    ASSERT_TRUE(pdb.ok());
-    pdb_ = std::move(*pdb);
-    ASSERT_TRUE(pdb_->ExecuteSql("CREATE TABLE items (id INT PRIMARY "
-                                 "KEY, v DOUBLE)")
+    auto db = ConcurrentProtectedDatabase::Open(dir_.string(), "items",
+                                                &clock_, opts);
+    ASSERT_TRUE(db.ok());
+    db_ = std::move(*db);
+    ASSERT_TRUE(db_->ExecuteSql("CREATE TABLE items (id INT PRIMARY "
+                                "KEY, v DOUBLE)")
                     .ok());
     for (int i = 0; i < 200; ++i) {
-      ASSERT_TRUE(pdb_->BulkLoadRow({Value(static_cast<int64_t>(i)),
-                                     Value(1.0)})
+      ASSERT_TRUE(db_->BulkLoadRow({Value(static_cast<int64_t>(i)),
+                                    Value(1.0)})
                       .ok());
     }
   }
   void TearDown() override {
     gate_.reset();
-    pdb_.reset();
+    db_.reset();
     fs::remove_all(dir_);
   }
 
   fs::path dir_;
   VirtualClock clock_;
-  std::unique_ptr<ProtectedDatabase> pdb_;
+  std::unique_ptr<ConcurrentProtectedDatabase> db_;
   std::unique_ptr<QueryGate> gate_;
 };
 
@@ -392,7 +393,7 @@ TEST_F(GateEscalationTest, ExtractionShapedAccessGetsAmplified) {
   opts.coverage.free_coverage = 0.05;
   opts.coverage.max_coverage = 0.5;
   opts.coverage.max_escalation = 50.0;
-  gate_ = std::make_unique<QueryGate>(pdb_.get(), opts);
+  gate_ = std::make_unique<QueryGate>(db_.get(), opts);
 
   auto scraper = gate_->RegisterUser(Ipv4FromString("10.1.1.1"));
   ASSERT_TRUE(scraper.ok());

@@ -30,9 +30,6 @@
 #include "core/delay_scheduler.h"
 #include "core/protected_db.h"
 #include "core/resource_governor.h"
-#include "defense/audit_log.h"
-#include "defense/identity.h"
-#include "defense/query_gate.h"
 #include "obs/failpoint_metrics.h"
 #include "obs/metrics.h"
 #include "storage/disk_manager.h"
@@ -999,63 +996,6 @@ TEST(ResourceGovernorTest, WriteShedsOnWalBacklog) {
   // Checkpoint drains the backlog; writes are admitted again.
   ASSERT_TRUE((*cdb)->Checkpoint().ok());
   EXPECT_TRUE((*cdb)->ExecuteSql("INSERT INTO items VALUES (2, 2.0)").ok());
-}
-
-TEST(ResourceGovernorTest, GateShedAuditsAndKeepsCharge) {
-  TempDir dir("gov_gate");
-  VirtualClock clock;
-  ProtectedDatabaseOptions opts;
-  opts.popularity.scale = 0.001;
-  opts.popularity.bounds = {0.0, 10.0};
-  opts.defer_delay_sleep = true;  // The gate parks the stall itself.
-  auto pdb = ProtectedDatabase::Open(dir.path(), "items", &clock, opts);
-  ASSERT_TRUE(pdb.ok());
-  ASSERT_TRUE((*pdb)
-                  ->ExecuteSql("CREATE TABLE items (id INT PRIMARY KEY, "
-                               "v DOUBLE)")
-                  .ok());
-  for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(
-        (*pdb)
-            ->BulkLoadRow({Value(static_cast<int64_t>(i)), Value(1.0)})
-            .ok());
-  }
-
-  ResourceGovernorOptions go;
-  go.max_parked_stalls = 1;
-  ResourceGovernor gov(go);
-  obs::MetricRegistry registry;
-  QueryGateOptions qopts;
-  qopts.governor = &gov;
-  qopts.metrics = &registry;
-  QueryGate gate(pdb->get(), qopts);
-  auto user = gate.RegisterUser(Ipv4FromString("10.0.0.1"));
-  ASSERT_TRUE(user.ok());
-  DelayScheduler scheduler(&clock);
-
-  ASSERT_TRUE(gov.AdmitStall(0).ok());  // Exhaust the parking budget.
-  bool completed = false;
-  Status st;
-  gate.ExecuteSqlAsync(*user, "SELECT * FROM items WHERE id = 3",
-                       &scheduler, [&](Result<ProtectedResult> r) {
-                         completed = true;  // Inline: no race.
-                         st = r.status();
-                       });
-  EXPECT_TRUE(completed);
-  EXPECT_TRUE(st.IsOverloaded()) << st.ToString();
-  EXPECT_EQ(scheduler.parked(), 0u);
-  // The shed is audited and counted...
-  EXPECT_EQ(gate.audit_log()->CountOf(AuditEvent::kOverloadShed), 1u);
-  EXPECT_EQ(registry
-                .GetCounter("tarpit_gate_denials_total",
-                            {{"reason", "overload"}})
-                ->Value(),
-            1);
-  // ...and the charge stuck: shedding is not a free tuple.
-  auto m = (*pdb)->Metrics();
-  EXPECT_GE(m.delays_charged, 1u);
-  EXPECT_GT(m.total_delay_seconds, 0.0);
-  gov.ReleaseStall(0);
 }
 
 /// Satellite regression (PR 8): stalls cancelled by scheduler shutdown

@@ -238,13 +238,13 @@ TEST(SelfAuditWatchdogTest, CatchesInjectedLedgerDriftInOnePass) {
 
 // ---------------- Extraction-risk scoring ---------------------------
 
-/// Serial defended stack on a virtual timeline with the risk scorer
+/// Defended stack on a virtual timeline with the risk scorer
 /// wired through the gate, mirroring the attack-regression fixture.
 struct RiskStack {
   fs::path dir;
   VirtualClock clock;
   obs::RiskScorer scorer;
-  std::unique_ptr<ProtectedDatabase> pdb;
+  std::unique_ptr<ConcurrentProtectedDatabase> db;
   std::unique_ptr<QueryGate> gate;
 
   explicit RiskStack(const std::string& name, int64_t n)
@@ -259,18 +259,19 @@ struct RiskStack {
     ProtectedDatabaseOptions opts;
     opts.popularity.scale = 1e9;  // Flat: everything costs the cap.
     opts.popularity.bounds = {0.0, 1.0};
-    opts.defer_delay_sleep = true;
-    auto pdb_or =
-        ProtectedDatabase::Open(dir.string(), "items", &clock, opts);
-    if (!pdb_or.ok()) return;
-    pdb = std::move(*pdb_or);
-    if (!pdb->ExecuteSql(
-                "CREATE TABLE items (id INT PRIMARY KEY, v DOUBLE)")
+    ConcurrentDatabaseOptions copts;
+    copts.serve_delays = false;  // The zoo driver advances time.
+    auto db_or = ConcurrentProtectedDatabase::Open(dir.string(), "items",
+                                                   &clock, opts, copts);
+    if (!db_or.ok()) return;
+    db = std::move(*db_or);
+    if (!db->ExecuteSql(
+               "CREATE TABLE items (id INT PRIMARY KEY, v DOUBLE)")
              .ok()) {
       return;
     }
     for (int64_t key = 1; key <= n; ++key) {
-      if (!pdb->BulkLoadRow({Value(key), Value(1.0)}).ok()) return;
+      if (!db->BulkLoadRow({Value(key), Value(1.0)}).ok()) return;
     }
     QueryGateOptions gate_opts;
     gate_opts.registration_seconds_per_account = 0.0;
@@ -284,12 +285,12 @@ struct RiskStack {
     gate_opts.coverage.max_coverage = 0.25;
     gate_opts.coverage.max_escalation = 20.0;
     gate_opts.risk = &scorer;
-    gate = std::make_unique<QueryGate>(pdb.get(), gate_opts);
+    gate = std::make_unique<QueryGate>(db.get(), gate_opts);
   }
 
   ~RiskStack() {
     gate.reset();
-    pdb.reset();
+    db.reset();
     if (!dir.empty()) fs::remove_all(dir);
   }
 };

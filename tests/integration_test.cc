@@ -349,18 +349,19 @@ TEST_F(EndToEndTest, GateAttackSimulatorParallelSemantics) {
   ProtectedDatabaseOptions opts;
   opts.popularity.scale = 1e9;  // Everything costs the 1 s cap.
   opts.popularity.bounds = {0.0, 1.0};
-  opts.defer_delay_sleep = true;
-  auto pdb =
-      ProtectedDatabase::Open(dir_.string(), "items", &clock_, opts);
-  ASSERT_TRUE(pdb.ok());
-  pdb_ = std::move(*pdb);
-  ASSERT_TRUE(pdb_->ExecuteSql("CREATE TABLE items (id INT PRIMARY KEY, "
-                               "v DOUBLE)")
+  ConcurrentDatabaseOptions copts;
+  copts.serve_delays = false;  // The simulator advances time.
+  auto db = ConcurrentProtectedDatabase::Open(dir_.string(), "items",
+                                              &clock_, opts, copts);
+  ASSERT_TRUE(db.ok());
+  std::unique_ptr<ConcurrentProtectedDatabase> cdb = std::move(*db);
+  ASSERT_TRUE(cdb->ExecuteSql("CREATE TABLE items (id INT PRIMARY KEY, "
+                              "v DOUBLE)")
                   .ok());
   const uint64_t kN = 100;
   for (uint64_t i = 1; i <= kN; ++i) {
-    ASSERT_TRUE(pdb_->BulkLoadRow({Value(static_cast<int64_t>(i)),
-                                   Value(1.0)})
+    ASSERT_TRUE(cdb->BulkLoadRow({Value(static_cast<int64_t>(i)),
+                                  Value(1.0)})
                     .ok());
   }
 
@@ -374,7 +375,7 @@ TEST_F(EndToEndTest, GateAttackSimulatorParallelSemantics) {
 
   // Sequential: 100 tuples x 1 s = ~100 s.
   {
-    QueryGate gate(pdb_.get(), gate_opts);
+    QueryGate gate(cdb.get(), gate_opts);
     GateAttackConfig attack;
     attack.n = kN;
     attack.identities = 1;
@@ -385,7 +386,7 @@ TEST_F(EndToEndTest, GateAttackSimulatorParallelSemantics) {
   }
   // 10-way parallel with free identities: ~10 s.
   {
-    QueryGate gate(pdb_.get(), gate_opts);
+    QueryGate gate(cdb.get(), gate_opts);
     GateAttackConfig attack;
     attack.n = kN;
     attack.identities = 10;
@@ -399,7 +400,7 @@ TEST_F(EndToEndTest, GateAttackSimulatorParallelSemantics) {
     QueryGateOptions limited = gate_opts;
     limited.registration_seconds_per_account = 60.0;
     limited.registration_burst = 1.0;
-    QueryGate gate(pdb_.get(), limited);
+    QueryGate gate(cdb.get(), limited);
     GateAttackConfig attack;
     attack.n = kN;
     attack.identities = 10;
@@ -412,17 +413,18 @@ TEST_F(EndToEndTest, GateAttackSimulatorParallelSemantics) {
 TEST_F(EndToEndTest, GateAttackRespectsLifetimeCaps) {
   ProtectedDatabaseOptions opts;
   opts.popularity.bounds = {0.0, 0.001};
-  opts.defer_delay_sleep = true;
-  auto pdb =
-      ProtectedDatabase::Open(dir_.string(), "items", &clock_, opts);
-  ASSERT_TRUE(pdb.ok());
-  pdb_ = std::move(*pdb);
-  ASSERT_TRUE(pdb_->ExecuteSql("CREATE TABLE items (id INT PRIMARY KEY, "
-                               "v DOUBLE)")
+  ConcurrentDatabaseOptions copts;
+  copts.serve_delays = false;  // The simulator advances time.
+  auto db = ConcurrentProtectedDatabase::Open(dir_.string(), "items",
+                                              &clock_, opts, copts);
+  ASSERT_TRUE(db.ok());
+  std::unique_ptr<ConcurrentProtectedDatabase> cdb = std::move(*db);
+  ASSERT_TRUE(cdb->ExecuteSql("CREATE TABLE items (id INT PRIMARY KEY, "
+                              "v DOUBLE)")
                   .ok());
   for (int i = 1; i <= 50; ++i) {
-    ASSERT_TRUE(pdb_->BulkLoadRow({Value(static_cast<int64_t>(i)),
-                                   Value(1.0)})
+    ASSERT_TRUE(cdb->BulkLoadRow({Value(static_cast<int64_t>(i)),
+                                  Value(1.0)})
                     .ok());
   }
   QueryGateOptions gate_opts;
@@ -433,7 +435,7 @@ TEST_F(EndToEndTest, GateAttackRespectsLifetimeCaps) {
   gate_opts.per_subnet_queries_per_second = 1e9;
   gate_opts.per_subnet_burst = 1e9;
   gate_opts.per_user_lifetime_query_limit = 10;
-  QueryGate gate(pdb_.get(), gate_opts);
+  QueryGate gate(cdb.get(), gate_opts);
   GateAttackConfig attack;
   attack.n = 50;
   attack.identities = 2;  // 2 ids x 10 queries = 20 tuples max.

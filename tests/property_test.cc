@@ -493,9 +493,9 @@ class ReputationPropertyTest : public ::testing::TestWithParam<uint64_t> {
 };
 
 TEST_P(ReputationPropertyTest, ComposedDelayNeverBelowBaseForAnyHistory) {
-  // Against random signal/decay/access histories, for every (key,
-  // principal, time) probe: ReputationDelayPolicy::Compose(d) >= d and
-  // PenaltyFactor >= 1.
+  // Against random signal/decay/access histories, for every (principal,
+  // time) probe: PenaltyFactor >= 1, so the door's escalated delay
+  // (base times that factor) is never below the base.
   Rng rng(GetParam());
   ReputationOptions opts;
   opts.growth = 1.0 + rng.NextDouble() * 3.0;
@@ -503,7 +503,6 @@ TEST_P(ReputationPropertyTest, ComposedDelayNeverBelowBaseForAnyHistory) {
   opts.half_life_seconds = 1.0 + rng.NextDouble() * 100.0;
   opts.breadth_free_fraction = rng.NextDouble() * 0.1;
   ReputationStore store(opts);
-  ReputationDelayPolicy policy(nullptr, &store);
 
   double now = 0.0;
   for (int step = 0; step < 2000; ++step) {
@@ -525,9 +524,6 @@ TEST_P(ReputationPropertyTest, ComposedDelayNeverBelowBaseForAnyHistory) {
         store.RecordBenign(identity, subnet, now);
         break;
     }
-    const double base = rng.NextDouble() * 10.0;
-    const double composed = policy.Compose(base, identity, subnet, now);
-    ASSERT_GE(composed, base) << "step " << step;
     ASSERT_GE(store.PenaltyFactor(identity, subnet, now), 1.0)
         << "step " << step;
   }

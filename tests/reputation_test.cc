@@ -1,6 +1,5 @@
-// Reputation-escalating delay: penalty growth/decay, composition with
-// the base policy stack, persistence across session churn, and the
-// wiring through both front doors.
+// Reputation-escalating delay: penalty growth/decay, persistence across
+// session churn, and the wiring through the perimeter and the door.
 
 #include <algorithm>
 #include <cmath>
@@ -12,7 +11,6 @@
 
 #include "common/clock.h"
 #include "core/concurrent_db.h"
-#include "core/delay_policy.h"
 #include "core/protected_db.h"
 #include "defense/identity.h"
 #include "defense/query_gate.h"
@@ -235,63 +233,6 @@ TEST(ReputationStoreTest, PublishesMetrics) {
   EXPECT_EQ(tracked->value, 1);
 }
 
-// ---------- ReputationDelayPolicy composition ----------
-
-class FixedPolicy : public DelayPolicy {
- public:
-  explicit FixedPolicy(double seconds) : seconds_(seconds) {}
-  double DelayFor(int64_t) const override { return seconds_; }
-  std::string name() const override { return "fixed"; }
-
- private:
-  double seconds_;
-};
-
-TEST(ReputationDelayPolicyTest, NeverBelowBasePolicy) {
-  FixedPolicy base(0.5);
-  ReputationStore store;
-  ReputationDelayPolicy policy(&base, &store);
-  // Clean principal: exactly the base.
-  EXPECT_DOUBLE_EQ(policy.DelayForPrincipal(1, kAlice, kSubnetA, 0.0),
-                   0.5);
-  // Penalized principal: strictly above, never below.
-  store.RecordSignal(kAlice, kSubnetA, 0.0, ReputationSignal::kExternal);
-  for (double t = 0.0; t < 5000.0; t += 333.3) {
-    EXPECT_GE(policy.DelayForPrincipal(1, kAlice, kSubnetA, t),
-              base.DelayFor(1))
-        << t;
-  }
-}
-
-TEST(ReputationDelayPolicyTest, AnonymousPathIsBaseUnchanged) {
-  FixedPolicy base(0.25);
-  ReputationStore store;
-  store.RecordSignal(kAlice, kSubnetA, 0.0, ReputationSignal::kExternal);
-  ReputationDelayPolicy policy(&base, &store);
-  EXPECT_DOUBLE_EQ(policy.DelayFor(7), 0.25);
-  EXPECT_EQ(policy.name(), "reputation(fixed)");
-}
-
-TEST(ReputationDelayPolicyTest, ComposeScalesExternallyComputedDelay) {
-  ReputationOptions opts;
-  opts.growth = 3.0;
-  ReputationStore store(opts);
-  ReputationDelayPolicy policy(nullptr, &store);
-  store.RecordSignal(kAlice, kSubnetA, 0.0, ReputationSignal::kExternal);
-  EXPECT_NEAR(policy.Compose(2.0, kAlice, kSubnetA, 0.0), 6.0, 1e-9);
-  // Zero base stays zero (nothing to escalate), clean principal is
-  // pass-through.
-  EXPECT_DOUBLE_EQ(policy.Compose(0.0, kAlice, kSubnetA, 0.0), 0.0);
-  EXPECT_DOUBLE_EQ(policy.Compose(2.0, kBob, kSubnetB, 0.0), 2.0);
-}
-
-TEST(ReputationDelayPolicyTest, NullStoreIsPassThrough) {
-  FixedPolicy base(1.5);
-  ReputationDelayPolicy policy(&base, nullptr);
-  EXPECT_DOUBLE_EQ(policy.DelayForPrincipal(1, kAlice, kSubnetA, 0.0),
-                   1.5);
-}
-
 // ---------- Persistence across session churn ----------
 
 TEST(ReputationStoreTest, SurvivesSessionEvictionAndRelogin) {
@@ -334,32 +275,43 @@ class ReputationGateTest : public ::testing::Test {
             "_" + std::to_string(::getpid()));
     fs::remove_all(dir_);
     fs::create_directories(dir_);
-    ProtectedDatabaseOptions opts;
-    opts.popularity.scale = 0.001;
-    opts.popularity.bounds = {0.0, 10.0};
-    auto pdb =
-        ProtectedDatabase::Open(dir_.string(), "items", &clock_, opts);
-    ASSERT_TRUE(pdb.ok());
-    pdb_ = std::move(*pdb);
-    ASSERT_TRUE(
-        pdb_->ExecuteSql(
-                "CREATE TABLE items (id INT PRIMARY KEY, v DOUBLE)")
-            .ok());
-    for (int i = 0; i < 10; ++i) {
-      ASSERT_TRUE(pdb_->BulkLoadRow({Value(static_cast<int64_t>(i)),
-                                     Value(i * 1.0)})
-                      .ok());
-    }
   }
   void TearDown() override {
     gate_.reset();
-    pdb_.reset();
+    db_.reset();
     fs::remove_all(dir_);
+  }
+
+  /// Opens the door pricing with `store` (null = reputation off) and
+  /// loads ten rows.
+  void OpenDoor(ReputationStore* store) {
+    ProtectedDatabaseOptions opts;
+    opts.popularity.scale = 0.001;
+    opts.popularity.bounds = {0.0, 10.0};
+    ConcurrentDatabaseOptions copts;
+    copts.reputation = store;
+    auto db = ConcurrentProtectedDatabase::Open(dir_.string(), "items",
+                                                &clock_, opts, copts);
+    ASSERT_TRUE(db.ok());
+    db_ = std::move(*db);
+    ASSERT_TRUE(
+        db_->ExecuteSql(
+               "CREATE TABLE items (id INT PRIMARY KEY, v DOUBLE)")
+            .ok());
+    for (int i = 0; i < 10; ++i) {
+      ASSERT_TRUE(db_->BulkLoadRow({Value(static_cast<int64_t>(i)),
+                                    Value(i * 1.0)})
+                      .ok());
+    }
+    // SELECTs record into the inner tracker directly, so it stays
+    // exact for inspection between single-threaded queries.
+    pdb_ = db_->unsafe_inner();
   }
 
   fs::path dir_;
   VirtualClock clock_;
-  std::unique_ptr<ProtectedDatabase> pdb_;
+  std::unique_ptr<ConcurrentProtectedDatabase> db_;
+  ProtectedDatabase* pdb_ = nullptr;
   std::unique_ptr<QueryGate> gate_;
 };
 
@@ -376,7 +328,8 @@ TEST_F(ReputationGateTest, PenalizedIdentityPaysMultipliedDelay) {
   opts.per_subnet_queries_per_second = 1e6;
   opts.per_subnet_burst = 1e6;
   opts.reputation = &store;
-  gate_ = std::make_unique<QueryGate>(pdb_.get(), opts);
+  OpenDoor(&store);
+  gate_ = std::make_unique<QueryGate>(db_.get(), opts);
 
   auto alice = gate_->RegisterUser(0x0A000001);
   ASSERT_TRUE(alice.ok());
@@ -415,7 +368,8 @@ TEST_F(ReputationGateTest, RateDenialsFeedReputation) {
   opts.per_user_queries_per_second = 0.1;
   opts.per_user_burst = 1.0;
   opts.reputation = &store;
-  gate_ = std::make_unique<QueryGate>(pdb_.get(), opts);
+  OpenDoor(&store);
+  gate_ = std::make_unique<QueryGate>(db_.get(), opts);
 
   auto alice = gate_->RegisterUser(0x0A000001);
   ASSERT_TRUE(alice.ok());
@@ -440,7 +394,8 @@ TEST_F(ReputationGateTest, GateWithoutReputationIsUnchanged) {
   QueryGateOptions opts;
   opts.per_user_queries_per_second = 1e6;
   opts.per_user_burst = 1e6;
-  gate_ = std::make_unique<QueryGate>(pdb_.get(), opts);
+  OpenDoor(nullptr);
+  gate_ = std::make_unique<QueryGate>(db_.get(), opts);
   auto alice = gate_->RegisterUser(0x0A000001);
   ASSERT_TRUE(alice.ok());
   auto r = gate_->ExecuteSql(*alice,
@@ -448,6 +403,73 @@ TEST_F(ReputationGateTest, GateWithoutReputationIsUnchanged) {
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(
       gate_->audit_log()->CountOf(AuditEvent::kReputationEscalated), 0u);
+}
+
+// One bill on the gated path: the coverage and reputation surcharges
+// are priced by the door, so what callers were charged is exactly what
+// Metrics() reports and what the delay ledger persists.
+TEST_F(ReputationGateTest, LedgerEqualsSumOfGatedCharges) {
+  ReputationStore store;
+  ProtectedDatabaseOptions opts;
+  opts.popularity.scale = 0.05;
+  opts.popularity.beta = 1.0;
+  opts.popularity.bounds = {0.0, 10.0};
+  opts.persist_delay_ledger = true;
+  ConcurrentDatabaseOptions copts;
+  copts.reputation = &store;
+  auto db = ConcurrentProtectedDatabase::Open(dir_.string(), "items",
+                                              &clock_, opts, copts);
+  ASSERT_TRUE(db.ok());
+  db_ = std::move(*db);
+  ASSERT_TRUE(
+      db_->ExecuteSql("CREATE TABLE items (id INT PRIMARY KEY, v DOUBLE)")
+          .ok());
+  for (int64_t i = 1; i <= 100; ++i) {
+    ASSERT_TRUE(db_->BulkLoadRow({Value(i), Value(1.0)}).ok());
+  }
+  QueryGateOptions gopts;
+  gopts.per_user_queries_per_second = 1e9;
+  gopts.per_user_burst = 1e9;
+  gopts.per_subnet_queries_per_second = 1e9;
+  gopts.per_subnet_burst = 1e9;
+  gopts.coverage_escalation = true;
+  gopts.coverage.free_coverage = 0.05;
+  gopts.coverage.max_coverage = 0.5;
+  gopts.coverage.max_escalation = 20.0;
+  gopts.reputation = &store;
+  gate_ = std::make_unique<QueryGate>(db_.get(), gopts);
+  auto scraper = gate_->RegisterUser(0x0A000001);
+  ASSERT_TRUE(scraper.ok());
+
+  const double before = db_->Metrics().total_delay_seconds;
+  double charged = 0.0;
+  for (int64_t k = 1; k <= 100; ++k) {
+    auto r = gate_->ExecuteSql(
+        *scraper, "SELECT * FROM items WHERE id = " + std::to_string(k));
+    ASSERT_TRUE(r.ok()) << k;
+    charged += r->delay_seconds;
+  }
+  auto range =
+      gate_->ExecuteSql(*scraper, "SELECT * FROM items WHERE id < 30");
+  ASSERT_TRUE(range.ok());
+  charged += range->delay_seconds;
+  // Both surcharges fired, so the check covers them.
+  AuditLog* log = gate_->audit_log();
+  ASSERT_GT(log->CountOf(AuditEvent::kCoverageEscalated), 0u);
+  ASSERT_GT(log->CountOf(AuditEvent::kReputationEscalated), 0u);
+
+  const double metered = db_->Metrics().total_delay_seconds - before;
+  EXPECT_NEAR(metered, charged, 1e-9 * charged);
+
+  ASSERT_TRUE(db_->Checkpoint().ok());
+  gate_.reset();
+  db_.reset();
+  auto reopened = ConcurrentProtectedDatabase::Open(dir_.string(), "items",
+                                                    &clock_, opts, copts);
+  ASSERT_TRUE(reopened.ok());
+  const double ledger =
+      (*reopened)->unsafe_inner()->ledger_base_delay_seconds();
+  EXPECT_NEAR(ledger, before + charged, 1e-9 * charged);
 }
 
 TEST(ReputationConcurrentDoorTest, EscalatesComputePhaseDelay) {
