@@ -239,7 +239,7 @@ bench::OpenLoopStats RunInprocOpenLoop(const fs::path& dir,
     std::mutex mu;
     std::condition_variable cv;
     bool done = false;
-    db->GetByKeyAsync(1 + (t * 7919 + i) % kRows,
+    db->GetByKeyAsync(1 + (t * 7919 + i) % kRows, {},
                       [&](Result<ProtectedResult> r) {
                         if (!r.ok()) std::abort();
                         std::lock_guard<std::mutex> lock(mu);

@@ -8,9 +8,10 @@
 //     a deliberately torn tail) -- replay must be complete (every
 //     record recovered, tail truncated, contents exact) and fast
 //     (bounded records/second, not seconds-per-record).
-//  3. Delay-ledger drift: charged-delay totals recovered across a
-//     checkpointed restart must match the in-memory oracle within
-//     0.01% -- the tarpit's bill survives the crash.
+//  3. Delay-ledger drift: charged-delay totals the concurrent door
+//     recovers across a checkpointed restart must match the summed
+//     returned delays within 0.01% -- the tarpit's bill survives the
+//     crash.
 //  4. Governor flood: a deterministic overload (one extraction-shaped
 //     identity flooding async queries into the concurrent door) must
 //     shed-before-collapse: parked stalls never exceed the budget,
@@ -200,19 +201,20 @@ DriftResult MeasureLedgerDrift(const fs::path& dir, bool tiny) {
   ProtectedDatabaseOptions opts;
   opts.popularity.scale = 0.001;
   opts.popularity.bounds = {0.0, 10.0};
-  opts.persist_delay_ledger = true;
+  ConcurrentDatabaseOptions copts;
+  copts.persist_delay_ledger = true;  // The door owns the ledger.
   {
-    auto pdb =
-        ProtectedDatabase::Open(dir.string(), "items", &clock, opts);
-    if (!pdb.ok()) std::abort();
-    if (!(*pdb)
+    auto db = ConcurrentProtectedDatabase::Open(dir.string(), "items",
+                                                &clock, opts, copts);
+    if (!db.ok()) std::abort();
+    if (!(*db)
              ->ExecuteSql(
                  "CREATE TABLE items (id INT PRIMARY KEY, v DOUBLE)")
              .ok()) {
       std::abort();
     }
     for (int i = 0; i < rows; ++i) {
-      if (!(*pdb)
+      if (!(*db)
                ->BulkLoadRow({Value(static_cast<int64_t>(i)), Value(1.0)})
                .ok()) {
         std::abort();
@@ -221,15 +223,16 @@ DriftResult MeasureLedgerDrift(const fs::path& dir, bool tiny) {
     Rng rng(7);
     for (int i = 0; i < queries; ++i) {
       auto res =
-          (*pdb)->GetByKey(static_cast<int64_t>(rng.Uniform(rows)));
+          (*db)->GetByKey(static_cast<int64_t>(rng.Uniform(rows)));
       if (!res.ok()) std::abort();
       r.oracle_delay += res->delay_seconds;
     }
-    if (!(*pdb)->Checkpoint().ok()) std::abort();
+    if (!(*db)->Checkpoint().ok()) std::abort();
   }
-  auto pdb = ProtectedDatabase::Open(dir.string(), "items", &clock, opts);
-  if (!pdb.ok()) std::abort();
-  auto m = (*pdb)->Metrics();
+  auto db = ConcurrentProtectedDatabase::Open(dir.string(), "items",
+                                              &clock, opts, copts);
+  if (!db.ok()) std::abort();
+  auto m = (*db)->Metrics();
   r.recovered_delay = m.total_delay_seconds;
   r.charges = m.delays_charged;
   r.drift = r.oracle_delay <= 0

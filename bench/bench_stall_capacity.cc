@@ -194,7 +194,7 @@ PathResult RunAsync(const fs::path& dir, const std::vector<int64_t>& seq,
   double total_delay = 0.0;
   const int64_t start = clock.NowMicros();
   for (int64_t key : seq) {
-    db->GetByKeyAsync(key, [&](Result<ProtectedResult> r) {
+    db->GetByKeyAsync(key, {}, [&](Result<ProtectedResult> r) {
       if (!r.ok()) std::abort();
       std::lock_guard<std::mutex> lock(mu);
       total_delay += r->delay_seconds;
@@ -256,7 +256,7 @@ bench::OpenLoopStats RunOpenLoopAsync(const fs::path& dir, int ops,
     while (bench::OpenLoopNowMicros() < intended[i]) {
       std::this_thread::sleep_for(std::chrono::microseconds(50));
     }
-    db->GetByKeyAsync(seq[i], [&, i](Result<ProtectedResult> r) {
+    db->GetByKeyAsync(seq[i], {}, [&, i](Result<ProtectedResult> r) {
       if (!r.ok()) std::abort();
       const int64_t now = bench::OpenLoopNowMicros();
       std::lock_guard<std::mutex> lock(mu);

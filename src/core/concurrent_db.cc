@@ -240,9 +240,16 @@ ConcurrentProtectedDatabase::Open(const std::string& dir,
   TARPIT_ASSIGN_OR_RETURN(
       std::unique_ptr<ProtectedDatabase> inner,
       ProtectedDatabase::Open(dir, table_name, clock, options));
-  return std::unique_ptr<ConcurrentProtectedDatabase>(
+  auto door = std::unique_ptr<ConcurrentProtectedDatabase>(
       new ConcurrentProtectedDatabase(std::move(inner),
                                       concurrent_options));
+  if (concurrent_options.persist_delay_ledger) {
+    TARPIT_RETURN_IF_ERROR(
+        door->ledger_.Open(dir + "/" + table_name + ".delay_ledger"));
+    door->recovered_delay_ = door->ledger_.recovered_total_delay();
+    door->recovered_charges_ = door->ledger_.recovered_charges();
+  }
+  return door;
 }
 
 size_t ConcurrentProtectedDatabase::RowStripeFor(int64_t key) const {
@@ -250,36 +257,34 @@ size_t ConcurrentProtectedDatabase::RowStripeFor(int64_t key) const {
 }
 
 double ConcurrentProtectedDatabase::ReputationFactor(
-    const RequestPrincipal* who) const {
-  if (who == nullptr || concurrent_options_.reputation == nullptr) {
+    const RequestPrincipal& who) const {
+  if (who.identity == 0 || concurrent_options_.reputation == nullptr) {
     return 1.0;
   }
   return std::max(1.0, concurrent_options_.reputation->PenaltyFactor(
-                           who->identity, who->subnet24,
+                           who.identity, who.subnet24,
                            inner_->clock()->NowSeconds()));
 }
 
 void ConcurrentProtectedDatabase::ReputationObserve(
-    const RequestPrincipal* who, int64_t key, uint64_t universe_n) {
-  if (who == nullptr) return;
+    const RequestPrincipal& who, int64_t key, uint64_t universe_n) {
   if (concurrent_options_.risk != nullptr &&
       concurrent_options_.risk->AdmitsKey(key)) {
     // AdmitsKey first: the sampled-out path (most requests when the
     // scorer samples) costs one hash, no clock read.
     concurrent_options_.risk->ObserveQuery(
-        who->identity, key, inner_->clock()->NowSeconds());
+        who.identity, key, inner_->clock()->NowSeconds());
   }
   if (concurrent_options_.reputation == nullptr) return;
   concurrent_options_.reputation->ObserveAccess(
-      who->identity, who->subnet24, key, universe_n,
+      who.identity, who.subnet24, key, universe_n,
       inner_->clock()->NowSeconds());
 }
 
-double ConcurrentProtectedDatabase::ApplySurcharge(
+void ConcurrentProtectedDatabase::ApplySurcharge(
     ProtectedResult* r, const RequestPrincipal& who, double rep_factor) {
   r->reputation_factor = rep_factor;
-  const double base = r->delay_seconds;
-  if (base <= 0.0) return 0.0;
+  if (r->delay_seconds <= 0.0) return;
   // Perimeter escalation first, then reputation: each multiplies the
   // delay priced so far.
   if (who.escalation > 1.0) {
@@ -289,7 +294,54 @@ double ConcurrentProtectedDatabase::ApplySurcharge(
     r->delay_seconds += (rep_factor - 1.0) * r->delay_seconds;
     if (m_rep_escalated_ != nullptr) m_rep_escalated_->Increment();
   }
-  return r->delay_seconds - base;
+}
+
+void ConcurrentProtectedDatabase::Account(AcctStripe& acct, double delay,
+                                          uint64_t tuples) {
+  // Failpoint: skim `arg` permille off the RECORDED charge while the
+  // caller is still served the full delay -- the ledger-vs-histogram
+  // drift the self-audit watchdog exists to catch
+  // (core/self_audit.h). Never fires in production.
+  double recorded = delay;
+  if (auto skim = TARPIT_FAILPOINT("concurrent_db.acct_skim")) {
+    recorded *= 1.0 - static_cast<double>(*skim) / 1000.0;
+  }
+  {
+    std::lock_guard<std::mutex> lock(acct.mu);
+    acct.total_delay += recorded;
+    acct.charges += tuples;
+    acct.sketch.Add(delay);
+  }
+  const uint64_t every = concurrent_options_.delay_ledger_snapshot_every;
+  if (!concurrent_options_.persist_delay_ledger || every == 0) return;
+  // The stripe add is ordered before this increment, so whoever
+  // crosses a cadence boundary sees every charge counted before it and
+  // the snapshot covers the whole window.
+  const uint64_t before = ledger_charges_.fetch_add(tuples);
+  if ((before + tuples) / every == before / every) return;
+  // Unsynced on the cadence: a crash loses at most the last window of
+  // accounting; Checkpoint hardens the horizon with fdatasync.
+  (void)AppendLedger(/*sync=*/false);
+}
+
+ConcurrentProtectedDatabase::AccountTotals
+ConcurrentProtectedDatabase::SumAccount(BoundedQuantileSketch* merged) {
+  AccountTotals t;
+  for (auto& acct : acct_stripes_) {
+    std::lock_guard<std::mutex> lock(acct->mu);
+    t.delay += acct->total_delay;
+    t.charges += acct->charges;
+    if (merged != nullptr) merged->Merge(acct->sketch);
+  }
+  return t;
+}
+
+Status ConcurrentProtectedDatabase::AppendLedger(bool sync) {
+  std::lock_guard<std::mutex> lock(ledger_mu_);
+  if (!ledger_.is_open()) return Status::OK();
+  const AccountTotals t = SumAccount(nullptr);
+  return ledger_.Append(recovered_delay_ + t.delay,
+                        recovered_charges_ + t.charges, sync);
 }
 
 obs::RequestTrace* ConcurrentProtectedDatabase::BeginTrace(
@@ -921,7 +973,7 @@ ProtectedDatabase* ConcurrentProtectedDatabase::unsafe_inner() {
 // --- Compute phase. ------------------------------------------------------
 
 Result<ProtectedResult> ConcurrentProtectedDatabase::ComputeGetByKey(
-    int64_t key, obs::RequestTrace* tr, const RequestPrincipal* who) {
+    int64_t key, obs::RequestTrace* tr, const RequestPrincipal& who) {
   ProtectedResult out;
   // Pre-access factor, read before this request's access is observed
   // (no retroactive penalty -- a crossing earned here lands on the
@@ -1033,30 +1085,16 @@ Result<ProtectedResult> ConcurrentProtectedDatabase::ComputeGetByKey(
     }
 
     // 2b. Perimeter escalation and reputation: escalate before the
-    //     stripe accounting records the charge, so accounting matches
-    //     what the caller is charged (and what Park parks). The
-    //     access then feeds breadth learning for future factors.
-    if (who != nullptr) {
-      ApplySurcharge(&out, *who, factor);
+    //     charge is accounted, so the account matches what the caller
+    //     is charged (and what Park parks). The access then feeds
+    //     breadth learning for future factors.
+    ApplySurcharge(&out, who, factor);
+    if (who.identity != 0) {
       ReputationObserve(who, key, stats_tracker_->universe_size());
     }
 
     // 3. Striped delay accounting (merged on Metrics()).
-    AcctStripe& acct = *acct_stripes_[stripe_idx];
-    {
-      // Failpoint: skim `arg` permille off the RECORDED charge while
-      // the caller is still served the full delay -- the
-      // ledger-vs-histogram drift the self-audit watchdog exists to
-      // catch (core/self_audit.h). Never fires in production.
-      double recorded = out.delay_seconds;
-      if (auto skim = TARPIT_FAILPOINT("concurrent_db.acct_skim")) {
-        recorded *= 1.0 - static_cast<double>(*skim) / 1000.0;
-      }
-      std::lock_guard<std::mutex> lock(acct.mu);
-      acct.total_delay += recorded;
-      ++acct.charges;
-      acct.sketch.Add(out.delay_seconds);
-    }
+    Account(*acct_stripes_[stripe_idx], out.delay_seconds, 1);
     pm.Mark(obs::TracePhase::kDelayCompute);
 
     out.result.rows.push_back(std::move(row));
@@ -1075,7 +1113,7 @@ Result<ProtectedResult> ConcurrentProtectedDatabase::ComputeGetByKey(
 
 Result<ProtectedResult> ConcurrentProtectedDatabase::ComputeExecuteSql(
     const std::string& sql, obs::RequestTrace* tr,
-    const RequestPrincipal* who) {
+    const RequestPrincipal& who) {
   PhaseMarker pm(tr, inner_->clock());
   const double factor = ReputationFactor(who);
   // Classify through the inner plan cache so the classification parse
@@ -1100,15 +1138,16 @@ Result<ProtectedResult> ConcurrentProtectedDatabase::ComputeExecuteSql(
     lower = IsMutatingStatement(*stmt) && CanLowerDml(*stmt);
   }
   Result<ProtectedResult> result = Status::Internal("unset");
+  // Tuples the inner engine charged (only SELECTs charge).
+  uint64_t tuples = 0;
+  InFlightMark mark(&in_flight_);
   if (lower) {
-    InFlightMark mark(&in_flight_);
     // MVCC write path: runs under the SHARED DDL lock -- point reads
     // keep flowing while the batch leader commits into the version
     // store. Per-key cache invalidation happens at install time.
     std::shared_lock<std::shared_mutex> ddl(ddl_mu_);
     result = SubmitWrite(*stmt);
   } else if (IsMutatingStatement(*stmt)) {
-    InFlightMark mark(&in_flight_);
     // Writer/DDL path: exclusive against all readers. The inner
     // database (executor, trackers, universe sizes) can be touched
     // freely; row caches are invalidated because UPDATE/DELETE/DDL
@@ -1144,7 +1183,6 @@ Result<ProtectedResult> ConcurrentProtectedDatabase::ComputeExecuteSql(
                           std::memory_order_relaxed);
     }
   } else {
-    InFlightMark mark(&in_flight_);
     std::shared_lock<std::shared_mutex> ddl(ddl_mu_);
     // The SQL read path still serializes on the stats spine: the inner
     // access tracker and delay engine are single-threaded. Storage is
@@ -1160,24 +1198,23 @@ Result<ProtectedResult> ConcurrentProtectedDatabase::ComputeExecuteSql(
     stats_tracker_->WithExclusive([&](CountTracker*) {
       std::unique_lock<std::shared_mutex> us(update_stats_mu_);
       std::shared_lock<std::shared_mutex> lock(storage_mu_);
+      const uint64_t charged_before = inner_->engine()->charges();
       result = prep != nullptr ? inner_->ExecutePrepared(*prep)
                                : inner_->ExecuteStatement(*stmt);
+      tuples = inner_->engine()->charges() - charged_before;
     });
   }
-  if (result.ok() && who != nullptr) {
-    // The inner engine accounted the BASE delay; the surcharge is
-    // accounted in an acct stripe so Metrics() and the ledger still
-    // equal the sum of caller-charged delays.
-    const uint64_t n = stats_tracker_->universe_size();
-    for (int64_t key : result->result.touched_keys) {
-      ReputationObserve(who, key, n);
+  if (result.ok()) {
+    if (who.identity != 0) {
+      const uint64_t n = stats_tracker_->universe_size();
+      for (int64_t key : result->result.touched_keys) {
+        ReputationObserve(who, key, n);
+      }
     }
-    const double extra = ApplySurcharge(&*result, *who, factor);
-    if (extra > 0.0) {
-      AcctStripe& acct = *acct_stripes_[0];
-      std::lock_guard<std::mutex> lock(acct.mu);
-      acct.total_delay += extra;
-    }
+    // The inner engine priced the base delay; the door escalates it and
+    // accounts the statement's whole charge once.
+    ApplySurcharge(&*result, who, factor);
+    if (tuples > 0) Account(*acct_stripes_[0], result->delay_seconds, tuples);
   }
   // The SQL path parses and executes as one unit; that whole
   // computation is the admission phase (delays were computed inside
@@ -1189,50 +1226,17 @@ Result<ProtectedResult> ConcurrentProtectedDatabase::ComputeExecuteSql(
 // --- Public entry points: compute, then serve or park the stall. ---------
 
 Result<ProtectedResult> ConcurrentProtectedDatabase::ExecuteSql(
-    const std::string& sql) {
-  obs::RequestTrace trace;
-  obs::RequestTrace* tr = BeginTrace(&trace, "sql", 0, 0);
-  return FinishBlocking(ComputeExecuteSql(sql, tr, nullptr), tr);
-}
-
-Result<ProtectedResult> ConcurrentProtectedDatabase::GetByKey(
-    int64_t key) {
-  obs::RequestTrace trace;
-  obs::RequestTrace* tr = BeginTrace(&trace, "get_by_key", key, 0);
-  return FinishBlocking(ComputeGetByKey(key, tr, nullptr), tr);
-}
-
-Result<ProtectedResult> ConcurrentProtectedDatabase::ExecuteSql(
     const std::string& sql, const RequestPrincipal& who) {
   obs::RequestTrace trace;
   obs::RequestTrace* tr = BeginTrace(&trace, "sql", 0, 0);
-  return FinishBlocking(ComputeExecuteSql(sql, tr, &who), tr);
+  return FinishBlocking(ComputeExecuteSql(sql, tr, who), tr);
 }
 
 Result<ProtectedResult> ConcurrentProtectedDatabase::GetByKey(
     int64_t key, const RequestPrincipal& who) {
   obs::RequestTrace trace;
   obs::RequestTrace* tr = BeginTrace(&trace, "get_by_key", key, 0);
-  return FinishBlocking(ComputeGetByKey(key, tr, &who), tr);
-}
-
-void ConcurrentProtectedDatabase::GetByKeyAsync(int64_t key,
-                                                AsyncCompletion done,
-                                                StallGroup session) {
-  obs::RequestTrace trace;
-  obs::RequestTrace* tr =
-      BeginTrace(&trace, "get_by_key", key, session);
-  FinishAsync(ComputeGetByKey(key, tr, nullptr), std::move(done),
-              session, tr);
-}
-
-void ConcurrentProtectedDatabase::ExecuteSqlAsync(const std::string& sql,
-                                                  AsyncCompletion done,
-                                                  StallGroup session) {
-  obs::RequestTrace trace;
-  obs::RequestTrace* tr = BeginTrace(&trace, "sql", 0, session);
-  FinishAsync(ComputeExecuteSql(sql, tr, nullptr), std::move(done),
-              session, tr);
+  return FinishBlocking(ComputeGetByKey(key, tr, who), tr);
 }
 
 void ConcurrentProtectedDatabase::GetByKeyAsync(int64_t key,
@@ -1242,10 +1246,7 @@ void ConcurrentProtectedDatabase::GetByKeyAsync(int64_t key,
   obs::RequestTrace trace;
   obs::RequestTrace* tr =
       BeginTrace(&trace, "get_by_key", key, session);
-  // The compute phase applies the escalation, so the stall parked
-  // below is the post-escalation delay.
-  FinishAsync(ComputeGetByKey(key, tr, &who), std::move(done), session,
-              tr);
+  FinishAsync(ComputeGetByKey(key, tr, who), std::move(done), session, tr);
 }
 
 void ConcurrentProtectedDatabase::ExecuteSqlAsync(
@@ -1253,8 +1254,8 @@ void ConcurrentProtectedDatabase::ExecuteSqlAsync(
     AsyncCompletion done, StallGroup session) {
   obs::RequestTrace trace;
   obs::RequestTrace* tr = BeginTrace(&trace, "sql", 0, session);
-  FinishAsync(ComputeExecuteSql(sql, tr, &who), std::move(done),
-              session, tr);
+  FinishAsync(ComputeExecuteSql(sql, tr, who), std::move(done), session,
+              tr);
 }
 
 Status ConcurrentProtectedDatabase::BulkLoadRow(const Row& row) {
@@ -1297,19 +1298,7 @@ Status ConcurrentProtectedDatabase::Checkpoint() {
     }
   }
   TARPIT_RETURN_IF_ERROR(inner_->Checkpoint());
-  // GetByKey charges delays through the accounting stripes, bypassing
-  // the inner DelayEngine; fold them into a final synced ledger
-  // snapshot so the recovered debt matches what callers were actually
-  // charged.
-  double striped_delay = 0.0;
-  uint64_t striped_charges = 0;
-  for (auto& acct : acct_stripes_) {
-    std::lock_guard<std::mutex> lock(acct->mu);
-    striped_delay += acct->total_delay;
-    striped_charges += acct->charges;
-  }
-  return inner_->SnapshotDelayLedger(striped_delay, striped_charges,
-                                     /*sync=*/true);
+  return AppendLedger(/*sync=*/true);
 }
 
 ProtectedDatabaseMetrics ConcurrentProtectedDatabase::Metrics() {
@@ -1322,25 +1311,13 @@ ProtectedDatabaseMetrics ConcurrentProtectedDatabase::Metrics() {
   });
   // Requests parked in stats stripes are real, just not merged yet.
   m.total_requests += stats_tracker_->pending_records();
-  // Fold in GetByKey's striped delay accounting (it bypasses the inner
-  // DelayEngine by design).
+  // The bill is the door's own account plus the recovered base.
   BoundedQuantileSketch merged;
-  double striped_delay = 0.0;
-  uint64_t striped_charges = 0;
-  for (auto& acct : acct_stripes_) {
-    std::lock_guard<std::mutex> lock(acct->mu);
-    striped_delay += acct->total_delay;
-    striped_charges += acct->charges;
-    merged.Merge(acct->sketch);
-  }
-  m.total_delay_seconds += striped_delay;
-  m.delays_charged += striped_charges;
-  if (merged.count() > 0) {
-    // Quantiles from the point-read sketch once it has any traffic
-    // (point retrievals are the hot path).
-    m.median_delay_seconds = merged.Median();
-    m.p99_delay_seconds = merged.Quantile(0.99);
-  }
+  const AccountTotals t = SumAccount(&merged);
+  m.total_delay_seconds = recovered_delay_ + t.delay;
+  m.delays_charged = recovered_charges_ + t.charges;
+  m.median_delay_seconds = merged.Median();
+  m.p99_delay_seconds = merged.Quantile(0.99);
   return m;
 }
 

@@ -14,6 +14,7 @@
 
 #include "common/result.h"
 #include "common/stats.h"
+#include "core/delay_ledger.h"
 #include "core/delay_scheduler.h"
 #include "core/protected_db.h"
 #include "core/resource_governor.h"
@@ -29,11 +30,13 @@ namespace tarpit {
 
 /// Caller-attributed principal for a request entering the concurrent
 /// front door. The door does no registration or rate limiting (that is
-/// the QueryGate perimeter's job); given a principal it escalates the
-/// charged delay by the perimeter's escalation and the principal's
-/// reputation penalty, and feeds served accesses back as breadth
-/// observations. Principal-less entry points are never escalated.
+/// the QueryGate perimeter's job); it escalates the charged delay by
+/// the perimeter's escalation and the principal's reputation penalty,
+/// and feeds served accesses back as breadth observations.
 struct RequestPrincipal {
+  /// 0 is anonymous (the default `{}`): no reputation is read or
+  /// observed and nothing feeds the risk scorer. The escalation below
+  /// still multiplies.
   uint64_t identity = 0;
   /// The identity's /24 network (Identity::Subnet24() at the gate).
   uint32_t subnet24 = 0;
@@ -62,6 +65,17 @@ struct ConcurrentDatabaseOptions {
   /// When false, delays are computed and accounted but not slept --
   /// for benches/simulations that measure rather than stall.
   bool serve_delays = true;
+  /// Persist the door's cumulative charged-delay totals to
+  /// `<dir>/<table>.delay_ledger` so the delay debt survives a crash --
+  /// without it an extractor could reset its accumulated bill (and the
+  /// operator's accounting) by killing the process. Open adopts the
+  /// last intact snapshot as the recovered base and truncates any torn
+  /// tail.
+  bool persist_delay_ledger = false;
+  /// Append an (unsynced) ledger snapshot every N charged tuples; 0
+  /// snapshots only at Checkpoint, which always appends one synced
+  /// snapshot.
+  uint64_t delay_ledger_snapshot_every = 256;
   /// Reclaim cadence for the MVCC write path: fold reclaimable
   /// versions into base storage every N published commits (0 disables
   /// the commit trigger)...
@@ -86,8 +100,8 @@ struct ConcurrentDatabaseOptions {
   /// Per-principal delay escalation seam (the defense layer's
   /// ReputationStore is the implementation). Not owned; must outlive
   /// the database and be safe from concurrent request threads. Null
-  /// disables reputation here; requests without a RequestPrincipal are
-  /// never escalated either way. Escalation happens in the COMPUTE
+  /// disables reputation here; anonymous requests (identity 0) never
+  /// consult it either way. Escalation happens in the COMPUTE
   /// phase, before the stall is served or parked, so the park path
   /// parks the post-escalation delay.
   PrincipalPenalty* reputation = nullptr;
@@ -117,7 +131,7 @@ struct ConcurrentDatabaseOptions {
   /// observed at Open (kRecovery, one event per nonzero recovery
   /// counter). Not owned; must outlive the database.
   obs::DefenseEventRing* event_ring = nullptr;
-  /// When non-null, principal-attributed requests feed the
+  /// When non-null, requests with a nonzero identity feed the
   /// extraction-risk scorer (one ObserveQuery per served tuple --
   /// breadth + rate learning). Purely observational, independent of
   /// `reputation`. Not owned; must outlive the database.
@@ -184,20 +198,15 @@ class ConcurrentProtectedDatabase {
   /// Executes one statement. SELECTs run concurrently with GetByKey
   /// traffic; mutating statements are exclusive. The stall is served
   /// outside all locks (slept inline, or parked on the wheel when
-  /// async_stalls is on).
-  Result<ProtectedResult> ExecuteSql(const std::string& sql);
-
-  /// Single-tuple retrieval on the lock-striped path.
-  Result<ProtectedResult> GetByKey(int64_t key);
-
-  /// Principal-attributed variants: the charged delay is escalated by
-  /// the principal's reputation penalty (when options.reputation is
-  /// set) and the served tuples feed its breadth learning. Identical
-  /// to the plain entry points when reputation is off.
+  /// async_stalls is on). The charged delay is escalated by `who`'s
+  /// perimeter escalation and, for a nonzero identity, its reputation
+  /// penalty; the served tuples feed its breadth learning.
   Result<ProtectedResult> ExecuteSql(const std::string& sql,
-                                     const RequestPrincipal& who);
+                                     const RequestPrincipal& who = {});
+
+  /// Single-tuple retrieval on the lock-striped path; `who` as above.
   Result<ProtectedResult> GetByKey(int64_t key,
-                                   const RequestPrincipal& who);
+                                   const RequestPrincipal& who = {});
 
   /// Completion callback for the async entry points. Runs on a
   /// scheduler dispatcher thread when the stall expires; perimeter /
@@ -209,18 +218,12 @@ class ConcurrentProtectedDatabase {
 
   /// Admit -> compute delay under the stripe locks -> park on the
   /// wheel -> complete on expiry. The calling thread returns as soon
-  /// as the computation is done; no thread is held for the stall.
-  /// `session` groups the parked stall for CancelSession (0 = none).
-  /// Requires async_stalls (falls back to serving the stall inline on
-  /// the calling thread otherwise, then completing).
-  void GetByKeyAsync(int64_t key, AsyncCompletion done,
-                     StallGroup session = 0);
-  void ExecuteSqlAsync(const std::string& sql, AsyncCompletion done,
-                       StallGroup session = 0);
-
-  /// Principal-attributed async variants: the PARKED stall already
-  /// includes the reputation escalation (escalation happens in the
-  /// compute phase).
+  /// as the computation is done; no thread is held for the stall, and
+  /// the PARKED stall already includes `who`'s escalation (it happens
+  /// in the compute phase). `session` groups the parked stall for
+  /// CancelSession (0 = none). Requires async_stalls (falls back to
+  /// serving the stall inline on the calling thread otherwise, then
+  /// completing).
   void GetByKeyAsync(int64_t key, const RequestPrincipal& who,
                      AsyncCompletion done, StallGroup session = 0);
   void ExecuteSqlAsync(const std::string& sql,
@@ -242,6 +245,8 @@ class ConcurrentProtectedDatabase {
   }
 
   Status BulkLoadRow(const Row& row);
+  /// Flushes storage and the count cache, truncates the WALs, and
+  /// appends one synced delay-ledger snapshot when the ledger is on.
   Status Checkpoint();
 
   /// Merges all pending stats-stripe deltas into the rank index so the
@@ -249,10 +254,17 @@ class ConcurrentProtectedDatabase {
   /// inspecting the inner database from a quiesced state.
   void QuiesceStats();
 
-  /// Point-in-time metrics. GetByKey accounting (which bypasses the
-  /// inner DelayEngine) is folded in; quantiles come from its sketch
-  /// once it has any traffic.
+  /// Point-in-time metrics. The delay total, charge count and
+  /// quantiles come from the door's own account (plus the recovered
+  /// ledger base), never from the inner DelayEngine.
   ProtectedDatabaseMetrics Metrics();
+
+  /// Charged-delay totals adopted from the delay ledger at Open (zero
+  /// unless persist_delay_ledger recovered a snapshot). Metrics()
+  /// already includes them; subtract to get what was charged since
+  /// open.
+  double recovered_delay_seconds() const { return recovered_delay_; }
+  uint64_t recovered_charges() const { return recovered_charges_; }
 
   /// Access to the wrapped instance for setup/inspection. NOT
   /// thread-safe; use only while no queries are in flight -- enforced
@@ -311,7 +323,8 @@ class ConcurrentProtectedDatabase {
     std::unordered_map<int64_t, Row> rows;
   };
   /// Per-stripe delay accounting so the hot path shares no accounting
-  /// cache line; merged on Metrics(). The sketch is a bounded
+  /// cache line; merged on Metrics(). `charges` counts charged tuples;
+  /// the sketch takes one sample per charged request. It is a bounded
   /// reservoir: a long-running server's accounting must not grow with
   /// request count (the unbounded QuantileSketch is for experiment
   /// harnesses that reset between runs).
@@ -320,6 +333,11 @@ class ConcurrentProtectedDatabase {
     double total_delay = 0.0;
     uint64_t charges = 0;
     BoundedQuantileSketch sketch;
+  };
+  /// The account summed over every stripe (recovered base excluded).
+  struct AccountTotals {
+    double delay = 0.0;
+    uint64_t charges = 0;
   };
 
   /// One queued write awaiting the batch leader. Lives on the
@@ -339,31 +357,40 @@ class ConcurrentProtectedDatabase {
 
   size_t RowStripeFor(int64_t key) const;
   // Compute phase only (admit + delay accounting, no stall served).
-  // `tr` is the request's trace (null when tracing is off); `who` is
-  // the attributed principal (null for the principal-less entry
-  // points).
+  // `tr` is the request's trace (null when tracing is off).
   Result<ProtectedResult> ComputeGetByKey(int64_t key,
                                           obs::RequestTrace* tr,
-                                          const RequestPrincipal* who);
+                                          const RequestPrincipal& who);
   Result<ProtectedResult> ComputeExecuteSql(const std::string& sql,
                                             obs::RequestTrace* tr,
-                                            const RequestPrincipal* who);
+                                            const RequestPrincipal& who);
   /// Pre-access penalty factor for `who` (1.0 when reputation is off
-  /// or `who` is null). Same no-retroactive-penalty rule as the gate:
-  /// the factor is read before this request's accesses are observed.
-  double ReputationFactor(const RequestPrincipal* who) const;
-  /// Feeds one served access into the reputation store (no-op when
-  /// reputation is off / `who` null). `universe_n` from the
-  /// thread-safe tracker.
-  void ReputationObserve(const RequestPrincipal* who, int64_t key,
+  /// or `who` is anonymous). Same no-retroactive-penalty rule as the
+  /// gate: the factor is read before this request's accesses are
+  /// observed.
+  double ReputationFactor(const RequestPrincipal& who) const;
+  /// Feeds one served access by a nonzero identity into the risk
+  /// scorer and the reputation store (each when set). `universe_n`
+  /// from the thread-safe tracker.
+  void ReputationObserve(const RequestPrincipal& who, int64_t key,
                          uint64_t universe_n);
   /// Escalates `r`'s charged delay by `who`'s perimeter escalation,
   /// then by `rep_factor` (counting the metric), and records
-  /// `rep_factor` on `r`. Returns the surcharge; the CALLER must
-  /// account it in an acct stripe so Metrics() keeps matching what
-  /// callers were charged.
-  double ApplySurcharge(ProtectedResult* r, const RequestPrincipal& who,
-                        double rep_factor);
+  /// `rep_factor` on `r`.
+  void ApplySurcharge(ProtectedResult* r, const RequestPrincipal& who,
+                      double rep_factor);
+  /// The door's one accounting step: adds one request's whole charge
+  /// (`delay` over `tuples` charged tuples) to `acct`, and appends an
+  /// unsynced ledger snapshot when the cadence is due. Every charge
+  /// the door makes goes through here, so Metrics(), the self-audit
+  /// and the ledger all read the same bill.
+  void Account(AcctStripe& acct, double delay, uint64_t tuples);
+  /// Sums the stripes; merges their sketches into `merged` when set.
+  AccountTotals SumAccount(BoundedQuantileSketch* merged);
+  /// Appends the recovered base plus the current account to the
+  /// ledger. The sum and the append happen under `ledger_mu_`, so
+  /// successive records never decrease.
+  Status AppendLedger(bool sync);
   void InvalidateRowCaches();
   /// Drops the cached row for `key` (commit precision invalidation;
   /// whole-cache invalidation stays on the DDL path).
@@ -477,6 +504,16 @@ class ConcurrentProtectedDatabase {
   std::atomic<uint64_t> row_cache_hits_{0};
   std::atomic<uint64_t> row_cache_misses_{0};
   std::atomic<int> in_flight_{0};
+
+  // Durable delay ledger (open iff persist_delay_ledger). ledger_mu_
+  // covers summing the stripes and appending; order: ddl_mu_ ->
+  // ledger_mu_ -> stripe locks.
+  std::mutex ledger_mu_;
+  DelayLedger ledger_;
+  double recovered_delay_ = 0.0;
+  uint64_t recovered_charges_ = 0;
+  /// Tuples charged since open; drives the snapshot cadence.
+  std::atomic<uint64_t> ledger_charges_{0};
 
   /// Emits one forensic event (no-op when the ring is off).
   void EmitEvent(obs::DefenseEventType type, uint64_t principal,

@@ -135,13 +135,6 @@ Status ProtectedDatabase::Init(const std::string& dir,
   }
   engine_ = std::make_unique<DelayEngine>(clock_, policy_.get());
 
-  if (options_.persist_delay_ledger) {
-    TARPIT_RETURN_IF_ERROR(
-        delay_ledger_.Open(dir + "/" + table_name + ".delay_ledger"));
-    ledger_base_delay_ = delay_ledger_.recovered_total_delay();
-    ledger_base_charges_ = delay_ledger_.recovered_charges();
-  }
-
   open_time_micros_ = clock_->NowMicros();
   return Status::OK();
 }
@@ -235,7 +228,6 @@ Result<ProtectedResult> ProtectedDatabase::ExecuteStatement(
       } else {
         out.delay_seconds = engine_->ChargeAll(qr.touched_keys);
       }
-      MaybeSnapshotLedger();
       break;
     }
     case Statement::Kind::kInsert: {
@@ -342,7 +334,6 @@ Result<ProtectedResult> ProtectedDatabase::GetByKey(int64_t key) {
   out.delay_seconds = options_.defer_delay_sleep
                           ? engine_->ChargeDeferred(key)
                           : engine_->Charge(key);
-  MaybeSnapshotLedger();
   out.result.rows.push_back(std::move(row));
   out.result.touched_keys.push_back(key);
   for (size_t i = 0; i < table_->schema().num_columns(); ++i) {
@@ -389,9 +380,8 @@ ProtectedDatabaseMetrics ProtectedDatabase::Metrics() const {
   m.universe_size = access_tracker_->universe_size();
   m.total_requests = access_tracker_->total_requests();
   m.distinct_keys_seen = access_tracker_->distinct_seen();
-  m.delays_charged = ledger_base_charges_ + engine_->charges();
-  m.total_delay_seconds =
-      ledger_base_delay_ + engine_->total_delay_seconds();
+  m.delays_charged = engine_->charges();
+  m.total_delay_seconds = engine_->total_delay_seconds();
   m.median_delay_seconds = engine_->delay_sketch().Median();
   m.p99_delay_seconds = engine_->delay_sketch().Quantile(0.99);
   if (count_cache_ != nullptr) {
@@ -407,36 +397,7 @@ Status ProtectedDatabase::Checkpoint() {
   if (count_cache_ != nullptr) {
     TARPIT_RETURN_IF_ERROR(count_cache_->FlushAll());
   }
-  TARPIT_RETURN_IF_ERROR(
-      SnapshotDelayLedger(0, 0, /*sync=*/true));
   return db_->CheckpointAll();
-}
-
-Status ProtectedDatabase::SnapshotDelayLedger(double extra_delay_seconds,
-                                              uint64_t extra_charges,
-                                              bool sync) {
-  if (!delay_ledger_.is_open()) return Status::OK();
-  const double total = ledger_base_delay_ + engine_->total_delay_seconds() +
-                       extra_delay_seconds;
-  const uint64_t charges =
-      ledger_base_charges_ + engine_->charges() + extra_charges;
-  TARPIT_RETURN_IF_ERROR(delay_ledger_.Append(total, charges, sync));
-  ledger_last_snapshot_charges_ = engine_->charges() + extra_charges;
-  return Status::OK();
-}
-
-void ProtectedDatabase::MaybeSnapshotLedger() {
-  if (!delay_ledger_.is_open() ||
-      options_.delay_ledger_snapshot_every == 0) {
-    return;
-  }
-  if (engine_->charges() - ledger_last_snapshot_charges_ <
-      options_.delay_ledger_snapshot_every) {
-    return;
-  }
-  // Unsynced on the cadence: a crash loses at most the last window of
-  // accounting; Checkpoint hardens the horizon with fdatasync.
-  (void)SnapshotDelayLedger(0, 0, /*sync=*/false);
 }
 
 }  // namespace tarpit

@@ -8,7 +8,6 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "core/delay_engine.h"
-#include "core/delay_ledger.h"
 #include "core/popularity_delay.h"
 #include "core/combined_delay.h"
 #include "core/update_delay.h"
@@ -53,15 +52,6 @@ struct ProtectedDatabaseOptions {
   /// the caller serves the stall (ConcurrentProtectedDatabase uses
   /// this to sleep outside its lock).
   bool defer_delay_sleep = false;
-  /// Persist cumulative charged-delay totals to
-  /// `<dir>/<table>.delay_ledger` so the delay debt survives a crash —
-  /// without it an extractor could reset its accumulated bill (and the
-  /// operator's accounting) by killing the process. Recovery adopts the
-  /// last intact snapshot and truncates any torn tail.
-  bool persist_delay_ledger = false;
-  /// Append an (unsynced) ledger snapshot every N charges; 0 snapshots
-  /// only at Checkpoint. Synced snapshots always happen at Checkpoint.
-  uint64_t delay_ledger_snapshot_every = 256;
   /// Entries in the statement-text -> parsed AST + access plan cache
   /// that lets repeated statements skip lexer -> parser -> planner.
   /// 0 disables the cache (every ExecuteSql parses from scratch).
@@ -96,7 +86,7 @@ struct ProtectedResult {
   QueryResult result;
   double delay_seconds = 0;
   /// Reputation penalty factor the concurrent door priced this request
-  /// with (>= 1; 1 for principal-less requests or reputation off).
+  /// with (>= 1; 1 for anonymous requests or reputation off).
   double reputation_factor = 1.0;
 };
 
@@ -169,22 +159,8 @@ class ProtectedDatabase {
   /// tracking (for experiment setup).
   Status BulkLoadRow(const Row& row);
 
-  /// Flushes dirty pages, count cache, and truncates WALs. Also
-  /// appends a synced delay-ledger snapshot when the ledger is enabled.
+  /// Flushes dirty pages, count cache, and truncates WALs.
   Status Checkpoint();
-
-  /// Appends an absolute delay-ledger snapshot covering this engine's
-  /// totals plus `extra_*` charged outside it (the concurrent front
-  /// door's accounting stripes). No-op when the ledger is disabled.
-  Status SnapshotDelayLedger(double extra_delay_seconds,
-                             uint64_t extra_charges, bool sync);
-
-  /// Charged-delay totals carried over from before the last restart
-  /// (zero unless persist_delay_ledger recovered a snapshot). Metrics()
-  /// already folds these into delays_charged / total_delay_seconds.
-  double ledger_base_delay_seconds() const { return ledger_base_delay_; }
-  uint64_t ledger_base_charges() const { return ledger_base_charges_; }
-  const DelayLedger& delay_ledger() const { return delay_ledger_; }
 
   CountTracker* access_tracker() { return access_tracker_.get(); }
   UpdateTracker* update_tracker() { return update_tracker_.get(); }
@@ -203,9 +179,6 @@ class ProtectedDatabase {
 
   Status Init(const std::string& dir, const std::string& table_name);
 
-  /// Appends an unsynced snapshot when the charge cadence is due.
-  void MaybeSnapshotLedger();
-
   ProtectedDatabaseOptions options_;
   Clock* clock_;
   std::unique_ptr<Database> db_;
@@ -222,10 +195,6 @@ class ProtectedDatabase {
   std::unique_ptr<UpdateDelayPolicy> update_subpolicy_;
   UpdateDelayPolicy* update_policy_ = nullptr;  // Borrowed view.
   std::unique_ptr<DelayEngine> engine_;
-  DelayLedger delay_ledger_;
-  double ledger_base_delay_ = 0;
-  uint64_t ledger_base_charges_ = 0;
-  uint64_t ledger_last_snapshot_charges_ = 0;
   int64_t open_time_micros_ = 0;
   std::string protected_table_name_;
 };

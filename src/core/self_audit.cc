@@ -38,7 +38,10 @@ obs::WatchdogResult CheckLedger(const SelfAuditTargets& t) {
   if (sched != nullptr && sched->parked() > 0) {
     return obs::WatchdogResult::Skipped("stalls parked on the wheel");
   }
-  const double ledger = t.db->Metrics().total_delay_seconds;
+  // The histogram starts empty at open, so compare it with the debt
+  // charged since open, not with the recovered ledger base.
+  const double ledger = t.db->Metrics().total_delay_seconds -
+                        t.db->recovered_delay_seconds();
   int64_t count_after = 0, sum_after = 0;
   SumHistogram(t.metrics->Snapshot(), hist, &count_after, &sum_after);
   if (count_after != count_before || sum_after != sum_before) {

@@ -22,10 +22,11 @@ struct SelfAuditTargets {
 
 /// Registers the engine's standard production invariants on `watchdog`:
 ///
-///  * "ledger-vs-histogram" -- the merged per-stripe delay ledger
-///    (Metrics().total_delay_seconds, recorded at delay-compute time)
-///    must match the tarpit_delay_charged_ns histogram sum (recorded
-///    at request completion) within ledger_tolerance. The two record
+///  * "ledger-vs-histogram" -- the door's account charged since open
+///    (Metrics().total_delay_seconds minus the recovered ledger base,
+///    recorded at delay-compute time) must match the
+///    tarpit_delay_charged_ns histogram sum (recorded at request
+///    completion) within ledger_tolerance. The two record
 ///    at different pipeline phases, so the check double-reads the
 ///    histogram and SKIPS -- never false-positives -- while requests
 ///    are in flight, parked, or completing between its reads; on a

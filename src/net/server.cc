@@ -85,8 +85,7 @@ struct TarpitServer::Conn {
   bool epollout_armed = false;
   bool close_after_write = false;
 
-  bool has_principal = false;
-  RequestPrincipal principal;
+  RequestPrincipal principal;  // Identity 0 until (or without) Hello.
 
   int64_t park_start_micros = 0;
   uint64_t keepalive_timer = 0;     // Loop timer ids; 0 = unarmed.
@@ -107,6 +106,13 @@ Status TarpitServer::Start() {
     return Status::InvalidArgument(
         "TarpitServer requires a database with async_stalls enabled "
         "(the whole point is parking connections on its scheduler)");
+  }
+  if (options_.reputation != nullptr &&
+      options_.reputation != db_->concurrent_options().reputation) {
+    return Status::FailedPrecondition(
+        "TarpitServer's reputation store must be the database's "
+        "(ConcurrentDatabaseOptions::reputation): the door prices wire "
+        "principals with the store the server signals");
   }
   if (options_.num_event_loops == 0) options_.num_event_loops = 1;
 
@@ -319,7 +325,8 @@ void TarpitServer::CloseConn(Conn* conn, bool peer_hangup) {
       // cancelled below (charge kept, tuple withheld) and the
       // principal's reputation is bumped so the NEXT connection sees
       // an escalated factor.
-      if (options_.reputation != nullptr && conn->has_principal) {
+      if (options_.reputation != nullptr &&
+          conn->principal.identity != 0) {
         options_.reputation->RecordSignal(
             conn->principal.identity, conn->principal.subnet24,
             clock_->NowSeconds(), ReputationSignal::kExternal);
@@ -478,13 +485,12 @@ bool TarpitServer::StartHello(Conn* conn, const Frame& frame) {
   }
   conn->principal.identity = identity;
   conn->principal.subnet24 = PeerIpv4(conn->fd) & 0xFFFFFF00u;
-  conn->has_principal = identity != 0;
 
   // Delayer-style delay-before-serve: a principal that already earned
   // a penalty waits before its FIRST query is even accepted, priced by
   // its factor. Fresh principals pass through untouched.
   double factor = 1.0;
-  if (options_.reputation != nullptr && conn->has_principal) {
+  if (options_.reputation != nullptr && conn->principal.identity != 0) {
     factor = options_.reputation->PenaltyFactor(
         conn->principal.identity, conn->principal.subnet24,
         clock_->NowSeconds());
@@ -559,18 +565,10 @@ bool TarpitServer::StartQuery(Conn* conn, Frame frame) {
     });
   };
   if (is_get) {
-    if (conn->has_principal) {
-      db_->GetByKeyAsync(key, conn->principal, std::move(done), id);
-    } else {
-      db_->GetByKeyAsync(key, std::move(done), id);
-    }
+    db_->GetByKeyAsync(key, conn->principal, std::move(done), id);
   } else {
-    if (conn->has_principal) {
-      db_->ExecuteSqlAsync(frame.payload, conn->principal, std::move(done),
-                           id);
-    } else {
-      db_->ExecuteSqlAsync(frame.payload, std::move(done), id);
-    }
+    db_->ExecuteSqlAsync(frame.payload, conn->principal, std::move(done),
+                         id);
   }
   return true;
 }

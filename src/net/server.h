@@ -70,8 +70,10 @@ struct TarpitServerOptions {
   /// Reputation store consulted for delay-before-serve factors and fed
   /// a kExternal signal on hang-up mid-stall (disconnect-and-retry
   /// must gain nothing). Not owned; may be null (both features off).
-  /// Typically the same store wired into the database's
-  /// ConcurrentDatabaseOptions::reputation.
+  /// When set it must be the store wired into the database's
+  /// ConcurrentDatabaseOptions::reputation (Start() refuses another),
+  /// so the door prices wire principals with the penalties the server
+  /// records.
   ReputationStore* reputation = nullptr;
   /// tarpit_net_* instruments land here; also the registry the HTTP
   /// /metrics endpoint exposes. Not owned; may be null.
@@ -109,6 +111,8 @@ class TarpitServer {
   TarpitServer(const TarpitServer&) = delete;
   TarpitServer& operator=(const TarpitServer&) = delete;
 
+  /// FailedPrecondition when options.reputation is set but is not the
+  /// database's reputation store; InvalidArgument without async stalls.
   Status Start();
   /// Idempotent. See the class comment for the enforced ordering.
   void Stop();

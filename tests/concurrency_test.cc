@@ -9,7 +9,9 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -464,7 +466,7 @@ TEST_F(ConcurrencyTest, AsyncStallsParkInsteadOfBlocking) {
   std::atomic<int> completed{0};
   std::atomic<int> errors{0};
   for (int i = 0; i < n; ++i) {
-    cdb_->GetByKeyAsync(1 + i % 64, [&](Result<ProtectedResult> r) {
+    cdb_->GetByKeyAsync(1 + i % 64, {}, [&](Result<ProtectedResult> r) {
       if (!r.ok()) ++errors;
       ++completed;
     });
@@ -515,7 +517,7 @@ TEST_F(ConcurrencyTest, CancelSessionCancelsParkedStalls) {
   std::atomic<int> delivered{0};
   for (int i = 0; i < n; ++i) {
     cdb_->GetByKeyAsync(
-        1 + i,
+        1 + i, {},
         [&](Result<ProtectedResult> r) {
           if (!r.ok() && r.status().IsCancelled()) {
             ++cancelled;
@@ -549,7 +551,7 @@ TEST_F(ConcurrencyTest, ShutdownWithParkedStallsDrainsCleanly) {
   const int n = 32;
   std::atomic<int> called{0};
   for (int i = 0; i < n; ++i) {
-    cdb_->GetByKeyAsync(1 + i % 16, [&](Result<ProtectedResult> r) {
+    cdb_->GetByKeyAsync(1 + i % 16, {}, [&](Result<ProtectedResult> r) {
       EXPECT_TRUE(!r.ok() && r.status().IsCancelled());
       ++called;
     });
@@ -569,7 +571,7 @@ TEST_F(ConcurrencyTest, ExecuteSqlAsyncParksSelectStall) {
 
   std::atomic<bool> done{false};
   std::atomic<bool> ok{false};
-  cdb_->ExecuteSqlAsync("SELECT * FROM items WHERE id = 5",
+  cdb_->ExecuteSqlAsync("SELECT * FROM items WHERE id = 5", {},
                         [&](Result<ProtectedResult> r) {
                           ok = r.ok() && r->result.rows.size() == 1;
                           done = true;
@@ -577,6 +579,83 @@ TEST_F(ConcurrencyTest, ExecuteSqlAsyncParksSelectStall) {
   cdb_->delay_scheduler()->Drain();
   EXPECT_TRUE(done.load());
   EXPECT_TRUE(ok.load());
+}
+
+// The door is the ledger's only writer: under 8 threads of point reads
+// and SQL SELECTs the cadence snapshots (documented 21-byte records:
+// kind u8, total f64, charges u64, crc u32) never decrease, and after a
+// Checkpoint and reopen the recovered debt equals the account.
+TEST_F(ConcurrencyTest, LedgerSnapshotsNeverDecreaseUnderLoad) {
+  constexpr int kThreads = 8;
+  const int ops = StressIters(300);
+  ProtectedDatabaseOptions opts;
+  opts.popularity.scale = 0.01;
+  opts.popularity.bounds = {0.0, 10.0};
+  ConcurrentDatabaseOptions copts;
+  copts.serve_delays = false;  // Measure, don't stall.
+  copts.persist_delay_ledger = true;
+  copts.delay_ledger_snapshot_every = 4;
+  OpenDb(64, opts, copts);
+
+  std::vector<double> charged(kThreads, 0.0);
+  std::atomic<int> errors{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(0x1ED6E7 + t);
+      for (int i = 0; i < ops; ++i) {
+        const int64_t key = 1 + static_cast<int64_t>(rng.Uniform(64));
+        auto r = i % 4 == 0
+                     ? cdb_->ExecuteSql("SELECT * FROM items WHERE id = " +
+                                        std::to_string(key))
+                     : cdb_->GetByKey(key);
+        if (!r.ok()) {
+          ++errors;
+          continue;
+        }
+        charged[t] += r->delay_seconds;
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  ASSERT_EQ(errors.load(), 0);
+
+  const ProtectedDatabaseMetrics m = cdb_->Metrics();
+  EXPECT_EQ(m.delays_charged, static_cast<uint64_t>(kThreads) * ops);
+  double sum = 0.0;
+  for (double c : charged) sum += c;
+  ASSERT_GT(sum, 0.0);
+  EXPECT_NEAR(m.total_delay_seconds, sum, 1e-9 * sum);
+
+  std::ifstream in(dir_ / "items.delay_ledger", std::ios::binary);
+  ASSERT_TRUE(in.good());
+  char rec[21];
+  double last_total = 0.0;
+  uint64_t last_charges = 0;
+  size_t records = 0;
+  while (in.read(rec, sizeof(rec))) {
+    ASSERT_EQ(rec[0], 1);
+    double total = 0.0;
+    uint64_t n = 0;
+    std::memcpy(&total, rec + 1, 8);
+    std::memcpy(&n, rec + 9, 8);
+    EXPECT_GE(total, last_total) << "record " << records;
+    EXPECT_GE(n, last_charges) << "record " << records;
+    last_total = total;
+    last_charges = n;
+    ++records;
+  }
+  EXPECT_EQ(records, m.delays_charged / 4);  // One per crossed window.
+
+  ASSERT_TRUE(cdb_->Checkpoint().ok());
+  cdb_.reset();
+  auto reopened = ConcurrentProtectedDatabase::Open(
+      dir_.string(), "items", &clock_, opts, copts);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  cdb_ = std::move(*reopened);
+  EXPECT_NEAR(cdb_->recovered_delay_seconds(), m.total_delay_seconds,
+              1e-9 * m.total_delay_seconds);
+  EXPECT_EQ(cdb_->recovered_charges(), m.delays_charged);
 }
 
 }  // namespace

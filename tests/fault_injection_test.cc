@@ -804,6 +804,38 @@ TEST(DelayLedgerTest, LastIntactSnapshotWinsAndTornTailHeals) {
   EXPECT_EQ(ledger3.truncated_bytes(), 0u);
 }
 
+/// The door's ledger with cadence 4 on a ten-row table.
+struct LedgerDoor {
+  ProtectedDatabaseOptions opts;
+  ConcurrentDatabaseOptions copts;
+  LedgerDoor() {
+    opts.popularity.scale = 0.001;
+    opts.popularity.bounds = {0.0, 10.0};
+    copts.persist_delay_ledger = true;
+    copts.delay_ledger_snapshot_every = 4;
+  }
+  std::unique_ptr<ConcurrentProtectedDatabase> Open(const TempDir& dir,
+                                                    Clock* clock) const {
+    auto db = ConcurrentProtectedDatabase::Open(dir.path(), "items", clock,
+                                                opts, copts);
+    EXPECT_TRUE(db.ok()) << db.status().ToString();
+    return db.ok() ? std::move(*db) : nullptr;
+  }
+  std::unique_ptr<ConcurrentProtectedDatabase> Create(const TempDir& dir,
+                                                      Clock* clock) const {
+    auto db = Open(dir, clock);
+    if (db == nullptr) return nullptr;
+    EXPECT_TRUE(
+        db->ExecuteSql("CREATE TABLE items (id INT PRIMARY KEY, v DOUBLE)")
+            .ok());
+    for (int i = 0; i < 10; ++i) {
+      EXPECT_TRUE(
+          db->BulkLoadRow({Value(static_cast<int64_t>(i)), Value(1.0)}).ok());
+    }
+    return db;
+  }
+};
+
 /// The delay debt survives crash/restart: after a checkpointed
 /// shutdown the recovered totals drift 0 (well under the 0.01% bar),
 /// and after an unclean crash they fall back to the last cadence
@@ -811,63 +843,103 @@ TEST(DelayLedgerTest, LastIntactSnapshotWinsAndTornTailHeals) {
 TEST(RecoveryDriftTest, ChargedDelaySurvivesRestart) {
   TempDir dir("drift");
   VirtualClock clock;
-  ProtectedDatabaseOptions opts;
-  opts.popularity.scale = 0.001;
-  opts.popularity.bounds = {0.0, 10.0};
-  opts.persist_delay_ledger = true;
-  opts.delay_ledger_snapshot_every = 4;
+  const LedgerDoor door;
 
   double oracle_delay = 0;
   uint64_t oracle_charges = 0;
   {
-    auto pdb = ProtectedDatabase::Open(dir.path(), "items", &clock, opts);
-    ASSERT_TRUE(pdb.ok()) << pdb.status().ToString();
-    ASSERT_TRUE((*pdb)
-                    ->ExecuteSql("CREATE TABLE items (id INT PRIMARY "
-                                 "KEY, v DOUBLE)")
-                    .ok());
-    for (int i = 0; i < 10; ++i) {
-      ASSERT_TRUE(
-          (*pdb)
-              ->BulkLoadRow({Value(static_cast<int64_t>(i)), Value(1.0)})
-              .ok());
-    }
+    auto db = door.Create(dir, &clock);
+    ASSERT_NE(db, nullptr);
     for (int i = 0; i < 25; ++i) {
-      auto r = (*pdb)->GetByKey(i % 10);
+      auto r = db->GetByKey(i % 10);
       ASSERT_TRUE(r.ok());
       oracle_delay += r->delay_seconds;
       ++oracle_charges;
     }
-    ASSERT_TRUE((*pdb)->Checkpoint().ok());  // Synced snapshot.
+    ASSERT_TRUE(db->Checkpoint().ok());  // Synced snapshot.
   }
 
   {
-    auto pdb = ProtectedDatabase::Open(dir.path(), "items", &clock, opts);
-    ASSERT_TRUE(pdb.ok()) << pdb.status().ToString();
-    auto m = (*pdb)->Metrics();
+    auto db = door.Open(dir, &clock);
+    ASSERT_NE(db, nullptr);
+    auto m = db->Metrics();
     EXPECT_EQ(m.delays_charged, oracle_charges);
     ASSERT_GT(oracle_delay, 0.0);
-    // Drift bound from the issue: <= 0.01% against the serial oracle.
+    // Drift bound: <= 0.01% against the summed returned delays.
     EXPECT_NEAR(m.total_delay_seconds, oracle_delay,
                 1e-4 * oracle_delay);
 
     // Second generation: 7 more charges, cadence 4, then an UNCLEAN
     // crash (no checkpoint). The cadence snapshot at +4 is the floor.
     for (int i = 0; i < 7; ++i) {
-      auto r = (*pdb)->GetByKey(i % 10);
+      auto r = db->GetByKey(i % 10);
       ASSERT_TRUE(r.ok());
       oracle_delay += r->delay_seconds;
     }
-    EXPECT_EQ((*pdb)->Metrics().delays_charged, oracle_charges + 7);
+    EXPECT_EQ(db->Metrics().delays_charged, oracle_charges + 7);
   }
 
-  auto pdb = ProtectedDatabase::Open(dir.path(), "items", &clock, opts);
-  ASSERT_TRUE(pdb.ok()) << pdb.status().ToString();
-  auto m = (*pdb)->Metrics();
+  auto db = door.Open(dir, &clock);
+  ASSERT_NE(db, nullptr);
+  auto m = db->Metrics();
   // The cadence snapshot after the 4th post-restart charge was the last
   // one appended before the crash; charges 5..7 were still in memory.
   EXPECT_EQ(m.delays_charged, oracle_charges + 4);
-  EXPECT_GE((*pdb)->ledger_base_charges(), oracle_charges);
+  EXPECT_GE(db->recovered_charges(), oracle_charges);
+}
+
+/// Point reads alone keep the ledger's cadence: a crash after 102
+/// reads at cadence 4 recovers at least the first 100 charges.
+TEST(RecoveryDriftTest, PointReadCrashKeepsLastCadenceWindow) {
+  TempDir dir("drift_points");
+  VirtualClock clock;
+  const LedgerDoor door;
+  double window_delay = 0;
+  {
+    auto db = door.Create(dir, &clock);
+    ASSERT_NE(db, nullptr);
+    for (int i = 0; i < 102; ++i) {
+      auto r = db->GetByKey(i % 10);
+      ASSERT_TRUE(r.ok());
+      if (i < 100) window_delay += r->delay_seconds;
+    }
+    ASSERT_GT(window_delay, 0.0);
+  }  // Unclean exit: no Checkpoint.
+  auto db = door.Open(dir, &clock);
+  ASSERT_NE(db, nullptr);
+  EXPECT_GE(db->recovered_charges(), 100u);
+  EXPECT_GE(db->recovered_delay_seconds(), window_delay * (1 - 1e-9));
+}
+
+/// SQL charges land in the same account as point reads, so a cadence
+/// snapshot after a checkpoint never rolls the debt back, and a
+/// Checkpoint appends exactly one ledger record.
+TEST(RecoveryDriftTest, SqlAfterCheckpointNeverRollsDebtBack) {
+  TempDir dir("drift_sql");
+  VirtualClock clock;
+  const LedgerDoor door;
+  const std::string ledger = dir.file("items.delay_ledger");
+  double checkpointed = 0;
+  {
+    auto db = door.Create(dir, &clock);
+    ASSERT_NE(db, nullptr);
+    for (int i = 0; i < 100; ++i) ASSERT_TRUE(db->GetByKey(i % 10).ok());
+    const auto before = fs::file_size(ledger);
+    ASSERT_TRUE(db->Checkpoint().ok());
+    EXPECT_EQ(fs::file_size(ledger) - before, 21u);  // One record.
+    checkpointed = db->Metrics().total_delay_seconds;
+    ASSERT_GT(checkpointed, 0.0);
+    for (int i = 0; i < 4; ++i) {
+      ASSERT_TRUE(
+          db->ExecuteSql("SELECT * FROM items WHERE id = " +
+                         std::to_string(i))
+              .ok());
+    }
+  }  // Unclean exit: no Checkpoint.
+  auto db = door.Open(dir, &clock);
+  ASSERT_NE(db, nullptr);
+  EXPECT_GE(db->recovered_delay_seconds(), checkpointed);
+  EXPECT_GE(db->recovered_charges(), 100u);
 }
 
 // ---------- Resource governor ----------
@@ -957,7 +1029,7 @@ TEST(ResourceGovernorTest, ConcurrentDoorShedsAfterCharge) {
 
   // The async path sheds identically, completing inline.
   std::atomic<bool> overloaded{false};
-  (*cdb)->GetByKeyAsync(2, [&](Result<ProtectedResult> res) {
+  (*cdb)->GetByKeyAsync(2, {}, [&](Result<ProtectedResult> res) {
     overloaded = res.status().IsOverloaded();
   });
   EXPECT_TRUE(overloaded.load());
@@ -1035,7 +1107,7 @@ TEST(ResourceGovernorTest, ShutdownCancelledStallKeepsCharge) {
     ASSERT_TRUE((*cdb)->BulkLoadRow({Value(int64_t{1}), Value(1.0)}).ok());
 
     baseline = h->Count();
-    (*cdb)->GetByKeyAsync(1, [&](Result<ProtectedResult> r) {
+    (*cdb)->GetByKeyAsync(1, {}, [&](Result<ProtectedResult> r) {
       cancelled = r.status().IsCancelled();
       completed = true;
     });

@@ -236,6 +236,72 @@ TEST(SelfAuditWatchdogTest, CatchesInjectedLedgerDriftInOnePass) {
   fs::remove_all(dir);
 }
 
+// The histogram is a per-process registry that starts empty at open,
+// while the door's Metrics() includes the debt recovered from the
+// ledger: the check must compare the histogram with what was charged
+// since open, or every restart reads as drift.
+TEST(SelfAuditWatchdogTest, NoFalseAlarmAfterLedgerRestart) {
+  const fs::path dir = fs::temp_directory_path() / "tarpit_wd_restart";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  VirtualClock clock;
+  ProtectedDatabaseOptions opts;
+  opts.popularity.beta = 0.0;
+  opts.popularity.scale = 1e-3;
+  opts.popularity.bounds = {0.0, 10.0};
+  auto open = [&](obs::MetricRegistry* registry) {
+    ConcurrentDatabaseOptions copts;
+    copts.serve_delays = false;
+    copts.metrics = registry;
+    copts.persist_delay_ledger = true;
+    auto db = ConcurrentProtectedDatabase::Open(dir.string(), "items",
+                                                &clock, opts, copts);
+    EXPECT_TRUE(db.ok());
+    return db.ok() ? std::move(*db) : nullptr;
+  };
+  {
+    obs::MetricRegistry registry;
+    auto db = open(&registry);
+    ASSERT_NE(db, nullptr);
+    ASSERT_TRUE(
+        db->ExecuteSql("CREATE TABLE items (id INT PRIMARY KEY, v DOUBLE)")
+            .ok());
+    for (int i = 1; i <= 256; ++i) {
+      ASSERT_TRUE(
+          db->BulkLoadRow({Value(static_cast<int64_t>(i)), Value(0.5)})
+              .ok());
+    }
+    RunUniformReads(db.get(), 100, 0xB111u);
+    ASSERT_TRUE(db->Checkpoint().ok());
+  }
+
+  obs::MetricRegistry registry;
+  auto db = open(&registry);
+  ASSERT_NE(db, nullptr);
+  ASSERT_GT(db->recovered_delay_seconds(), 0.0);
+  RunUniformReads(db.get(), 10, 0xB112u);
+  obs::SelfAuditWatchdogOptions wopts;
+  wopts.metrics = &registry;
+  obs::SelfAuditWatchdog watchdog(wopts);
+  SelfAuditTargets targets;
+  targets.db = db.get();
+  targets.metrics = &registry;
+  ASSERT_GE(InstallStandardChecks(&watchdog, targets), 1u);
+  watchdog.RunOnce(clock.NowMicros());
+  bool ran = false;
+  for (const auto& cs : watchdog.Stats()) {
+    if (cs.name != "ledger-vs-histogram") continue;
+    ran = true;
+    EXPECT_EQ(cs.last.status, obs::WatchdogResult::Status::kOk)
+        << cs.last.detail;
+  }
+  EXPECT_TRUE(ran);
+  EXPECT_EQ(watchdog.violations_total(), 0u);
+
+  db.reset();
+  fs::remove_all(dir);
+}
+
 // ---------------- Extraction-risk scoring ---------------------------
 
 /// Defended stack on a virtual timeline with the risk scorer

@@ -176,7 +176,7 @@ TEST(SessionManagerTest, EvictionCancelsParkedStallsEndToEnd) {
   std::atomic<int> cancelled{0};
   for (int i = 1; i <= 4; ++i) {
     cdb->GetByKeyAsync(
-        i,
+        i, {},
         [&](Result<ProtectedResult> r) {
           if (!r.ok() && r.status().IsCancelled()) ++cancelled;
         },

@@ -392,6 +392,41 @@ TEST(NetServerTest, HelloClaimingAnAddressIsRefused) {
   ASSERT_TRUE(honest.Hello(/*identity=*/42).ok());
 }
 
+// The door prices wire principals with its own reputation store; a
+// server signalling a different store (or one the door never reads)
+// would record penalties no charge ever sees, so Start refuses it.
+TEST(NetServerTest, StartRefusesAReputationStoreTheDoorDoesNotPrice) {
+  const fs::path dir =
+      fs::temp_directory_path() /
+      ("tarpit_net_test_store_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  RealClock clock;
+  ReputationStore door_store;
+  ReputationStore other_store;
+  for (ReputationStore* priced : {static_cast<ReputationStore*>(nullptr),
+                                  &other_store, &door_store}) {
+    ConcurrentDatabaseOptions copts;
+    copts.async_stalls = true;
+    copts.reputation = priced;
+    auto db = ConcurrentProtectedDatabase::Open(dir.string(), "items",
+                                                &clock, {}, copts);
+    ASSERT_TRUE(db.ok()) << db.status().ToString();
+    TarpitServerOptions sopts;
+    sopts.enable_http = false;
+    sopts.reputation = &door_store;
+    TarpitServer server(db->get(), &clock, sopts);
+    const Status s = server.Start();
+    if (priced == &door_store) {
+      EXPECT_TRUE(s.ok()) << s.ToString();
+    } else {
+      EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition) << s.ToString();
+    }
+    server.Stop();
+  }
+  fs::remove_all(dir);
+}
+
 TEST(NetServerTest, BackpressureClosesUnreadingClient) {
   TarpitServerOptions sopts;
   sopts.max_write_buffer_bytes = 8 * 1024;

@@ -414,8 +414,8 @@ TEST_F(ReputationGateTest, LedgerEqualsSumOfGatedCharges) {
   opts.popularity.scale = 0.05;
   opts.popularity.beta = 1.0;
   opts.popularity.bounds = {0.0, 10.0};
-  opts.persist_delay_ledger = true;
   ConcurrentDatabaseOptions copts;
+  copts.persist_delay_ledger = true;
   copts.reputation = &store;
   auto db = ConcurrentProtectedDatabase::Open(dir_.string(), "items",
                                               &clock_, opts, copts);
@@ -467,8 +467,7 @@ TEST_F(ReputationGateTest, LedgerEqualsSumOfGatedCharges) {
   auto reopened = ConcurrentProtectedDatabase::Open(dir_.string(), "items",
                                                     &clock_, opts, copts);
   ASSERT_TRUE(reopened.ok());
-  const double ledger =
-      (*reopened)->unsafe_inner()->ledger_base_delay_seconds();
+  const double ledger = (*reopened)->recovered_delay_seconds();
   EXPECT_NEAR(ledger, before + charged, 1e-9 * charged);
 }
 

@@ -126,6 +126,7 @@ int main(int argc, char** argv) {
   copts.serve_delays = true;
   copts.async_stalls = true;
   copts.metrics = &metrics;
+  copts.reputation = &reputation;
   auto opened = ConcurrentProtectedDatabase::Open(
       args.dir, "items", &clock, dopts, copts);
   if (!opened.ok()) {
