@@ -82,7 +82,7 @@ int main() {
 
   // A scraper now pulls every article.
   ExtractionReport scrape =
-      RunSequentialExtraction(*db.engine()->policy(), kArticles);
+      RunSequentialExtraction(db.policy(), kArticles);
   std::printf("\nScraping all %d articles costs %.2f hours of delay.\n",
               kArticles, scrape.total_delay_seconds / 3600);
 

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "common/failpoint.h"
-#include "sql/parser.h"
 
 namespace tarpit {
 
@@ -231,7 +230,6 @@ ConcurrentProtectedDatabase::Open(const std::string& dir,
                                   ProtectedDatabaseOptions options,
                                   ConcurrentDatabaseOptions
                                       concurrent_options) {
-  options.defer_delay_sleep = true;
   if (options.metrics == nullptr) {
     // One registry pointer at the front door instruments the whole
     // stack: storage pools, WAL, and count cache inherit it.
@@ -281,19 +279,27 @@ void ConcurrentProtectedDatabase::ReputationObserve(
       inner_->clock()->NowSeconds());
 }
 
-void ConcurrentProtectedDatabase::ApplySurcharge(
-    ProtectedResult* r, const RequestPrincipal& who, double rep_factor) {
-  r->reputation_factor = rep_factor;
-  if (r->delay_seconds <= 0.0) return;
+void ConcurrentProtectedDatabase::Settle(ProtectedResult* r,
+                                         const RequestPrincipal& who,
+                                         double rep_factor, AcctStripe& acct,
+                                         uint64_t tuples) {
   // Perimeter escalation first, then reputation: each multiplies the
-  // delay priced so far.
-  if (who.escalation > 1.0) {
+  // delay priced so far, before the charge is accounted, so the
+  // account matches what the caller is charged (and what Park parks).
+  r->reputation_factor = rep_factor;
+  if (r->delay_seconds > 0.0 && who.escalation > 1.0) {
     r->delay_seconds += (who.escalation - 1.0) * r->delay_seconds;
   }
-  if (rep_factor > 1.0) {
+  if (r->delay_seconds > 0.0 && rep_factor > 1.0) {
     r->delay_seconds += (rep_factor - 1.0) * r->delay_seconds;
     if (m_rep_escalated_ != nullptr) m_rep_escalated_->Increment();
   }
+  // The served keys then feed breadth learning for future factors.
+  if (who.identity != 0) {
+    const uint64_t n = stats_tracker_->universe_size();
+    for (int64_t key : r->result.touched_keys) ReputationObserve(who, key, n);
+  }
+  if (tuples > 0) Account(acct, r->delay_seconds, tuples);
 }
 
 void ConcurrentProtectedDatabase::Account(AcctStripe& acct, double delay,
@@ -584,7 +590,7 @@ bool ConcurrentProtectedDatabase::CanLowerDml(const Statement& stmt) const {
   }
 }
 
-Result<ProtectedResult> ConcurrentProtectedDatabase::SubmitWrite(
+Result<QueryResult> ConcurrentProtectedDatabase::SubmitWrite(
     const Statement& stmt) {
   if (concurrent_options_.governor != nullptr) {
     // Shed-before-collapse on the write side: refuse at submit time
@@ -661,7 +667,7 @@ Result<ProtectedResult> ConcurrentProtectedDatabase::SubmitWrite(
   return std::move(op.result);
 }
 
-Result<ProtectedResult> ConcurrentProtectedDatabase::ExecuteMvccStatement(
+Result<QueryResult> ConcurrentProtectedDatabase::ExecuteMvccStatement(
     const Statement& stmt) {
   Table* table = inner_->table();
   if (table == nullptr) {
@@ -836,10 +842,10 @@ Result<ProtectedResult> ConcurrentProtectedDatabase::ExecuteMvccStatement(
   }
   TARPIT_RETURN_IF_ERROR(st);
 
-  // Bookkeeping mirrors the serial ExecuteStatement switch (and like
-  // it, runs only on success): the access-tracker side goes through
-  // the thread-safe spine, the update-tracker side through the inner
-  // seam under update_stats_mu_.
+  // Bookkeeping mirrors the serial Run (and like it, runs only on
+  // success): the access-tracker side goes through the thread-safe
+  // spine, the update-tracker side through RecordWrite under
+  // update_stats_mu_.
   const uint64_t logical = logical_rows_.load(std::memory_order_relaxed);
   switch (stmt.kind) {
     case Statement::Kind::kInsert:
@@ -853,11 +859,9 @@ Result<ProtectedResult> ConcurrentProtectedDatabase::ExecuteMvccStatement(
   }
   {
     std::unique_lock<std::shared_mutex> us(update_stats_mu_);
-    inner_->RecordWriteForConcurrent(stmt.kind, logical, qr.touched_keys);
+    inner_->RecordWrite(stmt.kind, logical, qr.touched_keys);
   }
-  ProtectedResult out;
-  out.result = std::move(qr);  // Writes charge no delay (serial parity).
-  return out;
+  return qr;  // Writes charge no delay (serial parity).
 }
 
 Status ConcurrentProtectedDatabase::ReclaimVersions(uint64_t boundary) {
@@ -1084,21 +1088,13 @@ Result<ProtectedResult> ConcurrentProtectedDatabase::ComputeGetByKey(
       out.delay_seconds = inner_->DelayForAccessStats(stats, key);
     }
 
-    // 2b. Perimeter escalation and reputation: escalate before the
-    //     charge is accounted, so the account matches what the caller
-    //     is charged (and what Park parks). The access then feeds
-    //     breadth learning for future factors.
-    ApplySurcharge(&out, who, factor);
-    if (who.identity != 0) {
-      ReputationObserve(who, key, stats_tracker_->universe_size());
-    }
-
-    // 3. Striped delay accounting (merged on Metrics()).
-    Account(*acct_stripes_[stripe_idx], out.delay_seconds, 1);
+    // 3. Surcharge, breadth learning and striped accounting (merged
+    //    on Metrics()).
+    out.result.touched_keys.push_back(key);
+    Settle(&out, who, factor, *acct_stripes_[stripe_idx], 1);
     pm.Mark(obs::TracePhase::kDelayCompute);
 
     out.result.rows.push_back(std::move(row));
-    out.result.touched_keys.push_back(key);
     const Schema& schema = table->schema();
     out.result.columns.reserve(schema.num_columns());
     for (size_t i = 0; i < schema.num_columns(); ++i) {
@@ -1121,24 +1117,18 @@ Result<ProtectedResult> ConcurrentProtectedDatabase::ComputeExecuteSql(
   // the same compiled form instead of re-parsing. The cache lookup
   // needs the shared DDL lock (compiling reads the catalog).
   std::shared_ptr<const PreparedStatement> prep;
-  Statement fallback_stmt;
-  const Statement* stmt = nullptr;
   bool lower = false;
   {
     std::shared_lock<std::shared_mutex> ddl(ddl_mu_);
-    if (inner_->plan_cache() != nullptr) {
-      TARPIT_ASSIGN_OR_RETURN(prep, inner_->plan_cache()->Get(sql));
-      stmt = &prep->stmt;
-    } else {
-      TARPIT_ASSIGN_OR_RETURN(fallback_stmt, Parser::Parse(sql));
-      stmt = &fallback_stmt;
-    }
+    TARPIT_ASSIGN_OR_RETURN(prep, inner_->Prepare(sql));
     // MVCC eligibility needs the table's schema, so decide it here
     // under the same shared DDL lock as the classification.
-    lower = IsMutatingStatement(*stmt) && CanLowerDml(*stmt);
+    lower = IsMutatingStatement(prep->stmt) && CanLowerDml(prep->stmt);
   }
-  Result<ProtectedResult> result = Status::Internal("unset");
-  // Tuples the inner engine charged (only SELECTs charge).
+  const Statement& stmt = prep->stmt;
+  Result<QueryResult> ran = Status::Internal("unset");
+  ProtectedResult out;
+  // Tuples this statement charges (only SELECTs on the protected table).
   uint64_t tuples = 0;
   InFlightMark mark(&in_flight_);
   if (lower) {
@@ -1146,8 +1136,8 @@ Result<ProtectedResult> ConcurrentProtectedDatabase::ComputeExecuteSql(
     // keep flowing while the batch leader commits into the version
     // store. Per-key cache invalidation happens at install time.
     std::shared_lock<std::shared_mutex> ddl(ddl_mu_);
-    result = SubmitWrite(*stmt);
-  } else if (IsMutatingStatement(*stmt)) {
+    ran = SubmitWrite(stmt);
+  } else if (IsMutatingStatement(stmt)) {
     // Writer/DDL path: exclusive against all readers. The inner
     // database (executor, trackers, universe sizes) can be touched
     // freely; row caches are invalidated because UPDATE/DELETE/DDL
@@ -1164,9 +1154,8 @@ Result<ProtectedResult> ConcurrentProtectedDatabase::ComputeExecuteSql(
       ddl_fences_.fetch_add(1, std::memory_order_relaxed);
       if (m_ddl_fences_ != nullptr) m_ddl_fences_->Increment();
     }
-    result = prep != nullptr ? inner_->ExecutePrepared(*prep)
-                             : inner_->ExecuteStatement(*stmt);
-    // The serial executor Recorded into the plain inner trackers;
+    ran = inner_->Run(*prep);
+    // The serial write bookkeeping touched the plain inner trackers;
     // fold their deferred rank-index work while ddl X still excludes
     // every shared reader (readers flush lazily and must never find
     // pending work concurrently).
@@ -1184,43 +1173,56 @@ Result<ProtectedResult> ConcurrentProtectedDatabase::ComputeExecuteSql(
     }
   } else {
     std::shared_lock<std::shared_mutex> ddl(ddl_mu_);
-    // The SQL read path still serializes on the stats spine: the inner
-    // access tracker and delay engine are single-threaded. Storage is
-    // held SHARED -- the scan itself is safe alongside GetByKey misses;
-    // the spine's exclusivity already excludes the count-cache flush
-    // hook's storage writes. Spine -> storage is the global lock order.
-    // The scan reads base storage, which cannot see unreclaimed
-    // versions: drain first and hold writer_mu_ across the scan so no
-    // commit slips in between. Writes may wait on a long SELECT; point
-    // readers never wait on either.
-    std::lock_guard<std::mutex> writer(writer_mu_);
-    TARPIT_RETURN_IF_ERROR(DrainVersions());
-    stats_tracker_->WithExclusive([&](CountTracker*) {
-      std::unique_lock<std::shared_mutex> us(update_stats_mu_);
-      std::shared_lock<std::shared_mutex> lock(storage_mu_);
-      const uint64_t charged_before = inner_->engine()->charges();
-      result = prep != nullptr ? inner_->ExecutePrepared(*prep)
-                               : inner_->ExecuteStatement(*stmt);
-      tuples = inner_->engine()->charges() - charged_before;
-    });
-  }
-  if (result.ok()) {
-    if (who.identity != 0) {
-      const uint64_t n = stats_tracker_->universe_size();
-      for (int64_t key : result->result.touched_keys) {
-        ReputationObserve(who, key, n);
-      }
+    {
+      // 1. Scan outside the stats spine, so point reads keep learning
+      //    and pricing meanwhile. Base storage cannot see unreclaimed
+      //    versions: drain first and hold writer_mu_ across the scan
+      //    so no commit slips in between.
+      std::lock_guard<std::mutex> writer(writer_mu_);
+      TARPIT_RETURN_IF_ERROR(DrainVersions());
+      std::shared_lock<std::shared_mutex> storage(storage_mu_);
+      ran = inner_->Run(*prep);
     }
-    // The inner engine priced the base delay; the door escalates it and
-    // accounts the statement's whole charge once.
-    ApplySurcharge(&*result, who, factor);
-    if (tuples > 0) Account(*acct_stripes_[0], result->delay_seconds, tuples);
+    pm.Mark(obs::TracePhase::kAdmit);
+    if (ran.ok() && inner_->ChargesTuples(stmt) &&
+        !ran->touched_keys.empty()) {
+      const std::vector<int64_t>& keys = ran->touched_keys;
+      Status learned;
+      stats_tracker_->WithExclusive([&](CountTracker* tracker) {
+        {
+          // 2. Learn straight into the inner tracker. Count-cache adds
+          //    write storage, so (like the flush hook) they exclude
+          //    shared-mode readers.
+          std::unique_lock<std::shared_mutex> storage(storage_mu_,
+                                                      std::defer_lock);
+          if (inner_->count_cache() != nullptr) storage.lock();
+          learned = inner_->Learn(keys);
+        }
+        pm.Mark(obs::TracePhase::kStatsLookup);
+        if (!learned.ok()) return;
+        // 3. Price each tuple with the point-read pricer, from the
+        //    state the serial engine would read: k tuples cost the
+        //    sum of k single-tuple delays.
+        std::shared_lock<std::shared_mutex> us(update_stats_mu_,
+                                               std::defer_lock);
+        if (reads_need_update_stats_) us.lock();
+        for (int64_t key : keys) {
+          out.delay_seconds += inner_->DelayForAccessStats(
+              tracker->Stats(key, reads_need_rank_), key);
+        }
+      });
+      TARPIT_RETURN_IF_ERROR(learned);
+      tuples = keys.size();
+    }
   }
-  // The SQL path parses and executes as one unit; that whole
-  // computation is the admission phase (delays were computed inside
-  // the inner engine).
-  pm.Mark(obs::TracePhase::kAdmit);
-  return result;
+  if (!ran.ok()) return ran.status();
+  out.result = std::move(*ran);
+  Settle(&out, who, factor, *acct_stripes_[0], tuples);
+  // Parsing, writes and the scan are the admission phase; a charged
+  // SELECT's pricing and settling are its delay computation.
+  pm.Mark(tuples > 0 ? obs::TracePhase::kDelayCompute
+                     : obs::TracePhase::kAdmit);
+  return out;
 }
 
 // --- Public entry points: compute, then serve or park the stall. ---------
@@ -1304,13 +1306,21 @@ Status ConcurrentProtectedDatabase::Checkpoint() {
 ProtectedDatabaseMetrics ConcurrentProtectedDatabase::Metrics() {
   std::shared_lock<std::shared_mutex> ddl(ddl_mu_);
   ProtectedDatabaseMetrics m;
-  stats_tracker_->WithExclusive([&](CountTracker*) {
-    std::shared_lock<std::shared_mutex> us(update_stats_mu_);
-    std::lock_guard<std::shared_mutex> lock(storage_mu_);
-    m = inner_->Metrics();
+  stats_tracker_->WithShared([&](const CountTracker* tracker) {
+    m.universe_size = tracker->universe_size();
+    m.total_requests = tracker->total_requests();
+    m.distinct_keys_seen = tracker->distinct_seen();
   });
   // Requests parked in stats stripes are real, just not merged yet.
   m.total_requests += stats_tracker_->pending_records();
+  if (CountCache* cache = inner_->count_cache(); cache != nullptr) {
+    // Count-cache writers hold storage_mu_ exclusively.
+    std::shared_lock<std::shared_mutex> lock(storage_mu_);
+    m.count_cache_hits = cache->hits();
+    m.count_cache_misses = cache->misses();
+    m.count_cache_backing_writes = cache->backing_writes();
+  }
+  m.policy_name = inner_->policy().name();
   // The bill is the door's own account plus the recovered base.
   BoundedQuantileSketch merged;
   const AccountTotals t = SumAccount(&merged);

@@ -161,16 +161,21 @@ struct ConcurrentDatabaseOptions {
 ///    record at commit time, base image deferred to the reclaimer),
 ///    publishes each commit epoch, and mirrors the serial path's
 ///    tracker bookkeeping under the spine / `update_stats_mu_`.
-///  * SELECT statements hold `ddl_mu_` shared plus `writer_mu_` (a
-///    base-storage scan cannot see unreclaimed versions, so the
-///    version store is drained first and held empty across the scan)
-///    and still serialize on the stats spine (the inner tracker and
-///    delay engine are single-threaded). Statement texts resolve
-///    through the inner plan cache, so the classification parse is the
-///    only parse and repeats skip compilation entirely.
+///  * SELECT statements hold `ddl_mu_` shared and run in three
+///    steps. The scan holds `writer_mu_` (a base-storage scan cannot
+///    see unreclaimed versions, so the version store is drained first
+///    and held empty across the scan) and `storage_mu_` SHARED, but
+///    not the stats spine. Then the spine is taken exclusively and the
+///    returned tuples are learned into the inner access tracker and
+///    priced one by one with the point-read pricer,
+///    DelayForAccessStats (`update_stats_mu_` shared when the mode
+///    reads update stats): a k-tuple result costs the sum of k
+///    single-tuple delays. Statement texts resolve through the inner
+///    plan cache, so the classification parse is the only parse and
+///    repeats skip compilation entirely.
 ///  * Storage WRITERS inside the shared-lock region (the stats flush
-///    hook pushing merged deltas into the persistent count cache) take
-///    `storage_mu_` EXCLUSIVE. The MVCC reclaimer writes base pages
+///    hook and a SELECT's learn step, writing the persistent count
+///    cache) take `storage_mu_` EXCLUSIVE. The MVCC reclaimer writes base pages
 ///    under `storage_mu_` SHARED plus per-page latches (serialized
 ///    against other base writers by `writer_mu_`).
 ///  * Ineligible mutating statements (DDL, range DML), bulk loads and
@@ -182,8 +187,9 @@ struct ConcurrentDatabaseOptions {
 /// sense on a single timeline anyway.
 class ConcurrentProtectedDatabase {
  public:
-  /// Opens the wrapped database; forces defer_delay_sleep so stalls
-  /// happen outside the locks.
+  /// Opens the wrapped database. The door serves every stall itself,
+  /// outside its locks; the wrapped database's DelayEngine is never
+  /// charged.
   static Result<std::unique_ptr<ConcurrentProtectedDatabase>> Open(
       const std::string& dir, const std::string& table_name, Clock* clock,
       ProtectedDatabaseOptions options = {},
@@ -254,9 +260,10 @@ class ConcurrentProtectedDatabase {
   /// inspecting the inner database from a quiesced state.
   void QuiesceStats();
 
-  /// Point-in-time metrics. The delay total, charge count and
-  /// quantiles come from the door's own account (plus the recovered
-  /// ledger base), never from the inner DelayEngine.
+  /// Point-in-time metrics, read from the door's own state: the stats
+  /// spine (shared), the count cache, and the door's account (plus the
+  /// recovered ledger base) for the delay total, charge count and
+  /// quantiles.
   ProtectedDatabaseMetrics Metrics();
 
   /// Charged-delay totals adopted from the delay ledger at Open (zero
@@ -345,7 +352,7 @@ class ConcurrentProtectedDatabase {
   /// the pointed-to statement outlives the op.
   struct WriteOp {
     const Statement* stmt = nullptr;
-    Result<ProtectedResult> result = Status::Internal("unset");
+    Result<QueryResult> result = Status::Internal("unset");
     // Atomic so followers can poll it without batch_mu_; the leader
     // still stores it under batch_mu_ (then notifies) so the cv
     // fallback has no missed-wakeup window.
@@ -374,11 +381,14 @@ class ConcurrentProtectedDatabase {
   /// from the thread-safe tracker.
   void ReputationObserve(const RequestPrincipal& who, int64_t key,
                          uint64_t universe_n);
-  /// Escalates `r`'s charged delay by `who`'s perimeter escalation,
+  /// The post-pricing step every request shares, once its base delay
+  /// is priced: escalates `r`'s delay by `who`'s perimeter escalation,
   /// then by `rep_factor` (counting the metric), and records
-  /// `rep_factor` on `r`.
-  void ApplySurcharge(ProtectedResult* r, const RequestPrincipal& who,
-                      double rep_factor);
+  /// `rep_factor` on `r`; then ReputationObserve for each touched key
+  /// (nonzero identities only); then Account of `tuples` charged
+  /// tuples to `acct` (nothing when 0).
+  void Settle(ProtectedResult* r, const RequestPrincipal& who,
+              double rep_factor, AcctStripe& acct, uint64_t tuples);
   /// The door's one accounting step: adds one request's whole charge
   /// (`delay` over `tuples` charged tuples) to `acct`, and appends an
   /// unsynced ledger snapshot when the cadence is due. Every charge
@@ -409,12 +419,12 @@ class ConcurrentProtectedDatabase {
   /// Group commit: queues the statement and either leads (drains the
   /// queue under `writer_mu_`, one commit epoch per statement, then
   /// runs the reclaim cadence) or waits for a leader to execute it.
-  Result<ProtectedResult> SubmitWrite(const Statement& stmt);
+  Result<QueryResult> SubmitWrite(const Statement& stmt);
   /// Executes one lowered DML statement as one version-store commit.
   /// Requires `writer_mu_`. Mirrors the serial executor exactly: same
   /// errors, same partial-prefix INSERT persistence, same tracker
   /// bookkeeping (skipped on error), no charged delay for writes.
-  Result<ProtectedResult> ExecuteMvccStatement(const Statement& stmt);
+  Result<QueryResult> ExecuteMvccStatement(const Statement& stmt);
   /// Folds versions with begin <= `boundary` into base storage.
   /// Requires `writer_mu_`.
   Status ReclaimVersions(uint64_t boundary);
@@ -461,8 +471,9 @@ class ConcurrentProtectedDatabase {
   // storage_mu_ is reader-writer: read-only storage access (GetByKey
   // misses, SELECT scans) holds it shared -- the sharded buffer pool
   // makes that safe -- while in-region storage writers (count-cache
-  // flush hook) hold it exclusive. Mutating SQL excludes everything
-  // via ddl_mu_ and needs no storage lock.
+  // flush hook, a SELECT's count-cache adds) hold it exclusive.
+  // Mutating SQL excludes everything via ddl_mu_ and needs no storage
+  // lock.
   std::shared_mutex ddl_mu_;
   std::shared_mutex storage_mu_;
   /// Serializes version-store commits, reclamation and drains against
@@ -471,8 +482,8 @@ class ConcurrentProtectedDatabase {
   /// -> storage_mu_. GetByKey never takes it.
   std::mutex writer_mu_;
   /// Guards the inner update tracker / update policy: the commit
-  /// leader and SELECTs write them exclusively, GetByKey's
-  /// DelayForAccessStats reads them shared -- but only in the modes
+  /// leader writes them exclusively, DelayForAccessStats (point reads
+  /// and SELECT pricing) reads them shared -- but only in the modes
   /// that consult update stats at all (cached in the flag below), so
   /// access-only reads never touch this (global) lock.
   std::shared_mutex update_stats_mu_;

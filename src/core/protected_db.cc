@@ -141,130 +141,105 @@ Status ProtectedDatabase::Init(const std::string& dir,
 
 Result<ProtectedResult> ProtectedDatabase::ExecuteSql(
     const std::string& sql) {
-  if (plan_cache_ != nullptr) {
-    TARPIT_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedStatement> prep,
-                            plan_cache_->Get(sql));
-    return ExecutePrepared(*prep);
-  }
-  TARPIT_ASSIGN_OR_RETURN(Statement stmt, Parser::Parse(sql));
-  return ExecuteStatement(stmt, nullptr);
-}
-
-Result<ProtectedResult> ProtectedDatabase::ExecutePrepared(
-    const PreparedStatement& prepared) {
-  // The plan is only trustworthy while the schema it was compiled
-  // against is still live; fail closed to a fresh planning pass.
-  const AccessPlan* hint =
-      prepared.has_select_plan &&
-              prepared.schema_version == db_->schema_version()
-          ? &prepared.select_plan
-          : nullptr;
-  Result<ProtectedResult> out = ExecuteStatement(prepared.stmt, hint);
-  if (out.ok() && plan_cache_ != nullptr &&
-      (prepared.stmt.kind == Statement::Kind::kCreateTable ||
-       prepared.stmt.kind == Statement::Kind::kCreateIndex)) {
-    // Version stamping already makes old entries unservable; this just
-    // reclaims them eagerly.
-    plan_cache_->Invalidate();
-  }
-  return out;
-}
-
-Result<ProtectedResult> ProtectedDatabase::ExecuteStatement(
-    const Statement& stmt, const AccessPlan* select_plan_hint) {
-  TARPIT_ASSIGN_OR_RETURN(QueryResult qr,
-                          executor_->Execute(stmt, select_plan_hint));
-
+  TARPIT_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedStatement> prep,
+                          Prepare(sql));
+  TARPIT_ASSIGN_OR_RETURN(QueryResult qr, Run(*prep));
   ProtectedResult out;
-  const bool targets_protected_table = [&] {
-    switch (stmt.kind) {
-      case Statement::Kind::kSelect:
-        return stmt.select.table == protected_table_name_;
-      case Statement::Kind::kInsert:
-        return stmt.insert.table == protected_table_name_;
-      case Statement::Kind::kUpdate:
-        return stmt.update.table == protected_table_name_;
-      case Statement::Kind::kDelete:
-        return stmt.del.table == protected_table_name_;
-      case Statement::Kind::kCreateTable:
-        return stmt.create_table.table == protected_table_name_;
-      case Statement::Kind::kCreateIndex:
-        return stmt.create_index.table == protected_table_name_;
-    }
-    return false;
-  }();
-
-  if (!targets_protected_table) {
-    out.result = std::move(qr);
-    return out;
-  }
-
-  switch (stmt.kind) {
-    case Statement::Kind::kCreateTable: {
-      TARPIT_ASSIGN_OR_RETURN(table_,
-                              db_->GetTable(protected_table_name_));
-      break;
-    }
-    case Statement::Kind::kCreateIndex:
-      break;  // DDL: nothing to learn, nothing to charge.
-    case Statement::Kind::kSelect: {
-      // Learn, then charge: each returned tuple is one access event and
-      // one delay unit.
-      for (int64_t key : qr.touched_keys) {
-        access_tracker_->Record(key);
-        if (count_cache_ != nullptr) {
-          TARPIT_RETURN_IF_ERROR(count_cache_->Add(key, 1.0));
-        }
-      }
-      if (update_policy_ != nullptr) {
-        const double elapsed =
-            std::max(1e-6, (clock_->NowMicros() - open_time_micros_) / 1e6);
-        update_policy_->set_rate_window_seconds(elapsed);
-      }
-      if (options_.defer_delay_sleep) {
-        for (int64_t key : qr.touched_keys) {
-          out.delay_seconds += engine_->ChargeDeferred(key);
-        }
-      } else {
-        out.delay_seconds = engine_->ChargeAll(qr.touched_keys);
-      }
-      break;
-    }
-    case Statement::Kind::kInsert: {
-      // Growing the relation grows N.
-      access_tracker_->set_universe_size(table_->NumRows());
-      update_tracker_->set_universe_size(table_->NumRows());
-      if (update_policy_ != nullptr) {
-        update_policy_->set_n(table_->NumRows());
-      }
-      for (int64_t key : qr.touched_keys) update_tracker_->Record(key);
-      break;
-    }
-    case Statement::Kind::kUpdate: {
-      for (int64_t key : qr.touched_keys) update_tracker_->Record(key);
-      break;
-    }
-    case Statement::Kind::kDelete: {
-      access_tracker_->set_universe_size(std::max<uint64_t>(
-          1, table_->NumRows()));
-      update_tracker_->set_universe_size(std::max<uint64_t>(
-          1, table_->NumRows()));
-      if (update_policy_ != nullptr) {
-        update_policy_->set_n(table_->NumRows());
-      }
-      break;
-    }
+  if (ChargesTuples(prep->stmt)) {
+    // Learn, then charge: each returned tuple is one access event and
+    // one delay unit.
+    TARPIT_RETURN_IF_ERROR(Learn(qr.touched_keys));
+    out.delay_seconds = Charge(qr.touched_keys);
   }
   out.result = std::move(qr);
   return out;
 }
 
-void ProtectedDatabase::RecordWriteForConcurrent(
-    Statement::Kind kind, uint64_t logical_rows,
-    const std::vector<int64_t>& touched_keys) {
-  // Mirrors the per-kind switch in ExecuteStatement (including the
-  // delete path's unclamped set_n), with the caller's logical row
-  // count standing in for table_->NumRows().
+Result<std::shared_ptr<const PreparedStatement>> ProtectedDatabase::Prepare(
+    const std::string& sql) {
+  if (plan_cache_ != nullptr) return plan_cache_->Get(sql);
+  auto prepared = std::make_shared<PreparedStatement>();
+  TARPIT_ASSIGN_OR_RETURN(prepared->stmt, Parser::Parse(sql));
+  return std::shared_ptr<const PreparedStatement>(std::move(prepared));
+}
+
+Result<QueryResult> ProtectedDatabase::Run(const PreparedStatement& prepared) {
+  const Statement& stmt = prepared.stmt;
+  // The cached plan is only trustworthy while the schema it was
+  // compiled against is still live; fail closed to a fresh planning
+  // pass.
+  const AccessPlan* hint =
+      prepared.has_select_plan &&
+              prepared.schema_version == db_->schema_version()
+          ? &prepared.select_plan
+          : nullptr;
+  TARPIT_ASSIGN_OR_RETURN(QueryResult qr, executor_->Execute(stmt, hint));
+  if (plan_cache_ != nullptr &&
+      (stmt.kind == Statement::Kind::kCreateTable ||
+       stmt.kind == Statement::Kind::kCreateIndex)) {
+    // Version stamping already makes old entries unservable; this just
+    // reclaims them eagerly.
+    plan_cache_->Invalidate();
+  }
+  switch (stmt.kind) {
+    case Statement::Kind::kCreateTable:
+      if (stmt.create_table.table == protected_table_name_) {
+        TARPIT_ASSIGN_OR_RETURN(table_,
+                                db_->GetTable(protected_table_name_));
+      }
+      break;
+    case Statement::Kind::kInsert:
+      if (stmt.insert.table != protected_table_name_) break;
+      // Growing the relation grows N.
+      access_tracker_->set_universe_size(table_->NumRows());
+      RecordWrite(stmt.kind, table_->NumRows(), qr.touched_keys);
+      break;
+    case Statement::Kind::kUpdate:
+      if (stmt.update.table != protected_table_name_) break;
+      RecordWrite(stmt.kind, table_->NumRows(), qr.touched_keys);
+      break;
+    case Statement::Kind::kDelete:
+      if (stmt.del.table != protected_table_name_) break;
+      access_tracker_->set_universe_size(
+          std::max<uint64_t>(1, table_->NumRows()));
+      RecordWrite(stmt.kind, table_->NumRows(), qr.touched_keys);
+      break;
+    case Statement::Kind::kSelect:       // The caller learns and charges.
+    case Statement::Kind::kCreateIndex:  // DDL: nothing to learn.
+      break;
+  }
+  return qr;
+}
+
+Status ProtectedDatabase::Learn(const std::vector<int64_t>& keys) {
+  for (int64_t key : keys) {
+    access_tracker_->Record(key);
+    if (count_cache_ != nullptr) {
+      TARPIT_RETURN_IF_ERROR(count_cache_->Add(key, 1.0));
+    }
+  }
+  return Status::OK();
+}
+
+double ProtectedDatabase::Charge(const std::vector<int64_t>& keys) {
+  if (update_policy_ != nullptr) {
+    update_policy_->set_rate_window_seconds(RateWindowSeconds());
+  }
+  if (!options_.defer_delay_sleep) return engine_->ChargeAll(keys);
+  double total = 0.0;
+  for (int64_t key : keys) total += engine_->ChargeDeferred(key);
+  return total;
+}
+
+double ProtectedDatabase::RateWindowSeconds() const {
+  return std::max(1e-6, (clock_->NowMicros() - open_time_micros_) / 1e6);
+}
+
+void ProtectedDatabase::RecordWrite(Statement::Kind kind,
+                                    uint64_t logical_rows,
+                                    const std::vector<int64_t>& touched_keys) {
+  // The delete path's set_n is deliberately unclamped (set_n maps 0 to
+  // 1 itself).
   switch (kind) {
     case Statement::Kind::kInsert: {
       update_tracker_->set_universe_size(logical_rows);
@@ -295,17 +270,13 @@ double ProtectedDatabase::DelayForAccessStats(const PopularityStats& stats,
     case DelayMode::kAccessPopularity:
       return PopularityDelayPolicy::DelayFromStats(stats,
                                                    options_.popularity);
-    case DelayMode::kUpdateRate: {
-      const double window =
-          std::max(1e-6, (clock_->NowMicros() - open_time_micros_) / 1e6);
-      return update_policy_->DelayForWindow(key, window);
-    }
+    case DelayMode::kUpdateRate:
+      return update_policy_->DelayForWindow(key, RateWindowSeconds());
     case DelayMode::kCombinedMax: {
-      const double window =
-          std::max(1e-6, (clock_->NowMicros() - open_time_micros_) / 1e6);
       const double access = PopularityDelayPolicy::DelayFromStats(
           stats, options_.popularity);
-      const double update = update_policy_->DelayForWindow(key, window);
+      const double update =
+          update_policy_->DelayForWindow(key, RateWindowSeconds());
       // Mirror Init's combined bounds: cap = max of the two caps.
       DelayBounds bounds = options_.popularity.bounds;
       bounds.max_seconds = std::max(bounds.max_seconds,
@@ -321,21 +292,11 @@ Result<ProtectedResult> ProtectedDatabase::GetByKey(int64_t key) {
     return Status::FailedPrecondition("protected table not created yet");
   }
   TARPIT_ASSIGN_OR_RETURN(Row row, table_->GetByKey(key));
-  access_tracker_->Record(key);
-  if (count_cache_ != nullptr) {
-    TARPIT_RETURN_IF_ERROR(count_cache_->Add(key, 1.0));
-  }
-  if (update_policy_ != nullptr) {
-    const double elapsed =
-        std::max(1e-6, (clock_->NowMicros() - open_time_micros_) / 1e6);
-    update_policy_->set_rate_window_seconds(elapsed);
-  }
   ProtectedResult out;
-  out.delay_seconds = options_.defer_delay_sleep
-                          ? engine_->ChargeDeferred(key)
-                          : engine_->Charge(key);
-  out.result.rows.push_back(std::move(row));
   out.result.touched_keys.push_back(key);
+  TARPIT_RETURN_IF_ERROR(Learn(out.result.touched_keys));
+  out.delay_seconds = Charge(out.result.touched_keys);
+  out.result.rows.push_back(std::move(row));
   for (size_t i = 0; i < table_->schema().num_columns(); ++i) {
     out.result.columns.push_back(table_->schema().column(i).name);
   }

@@ -49,8 +49,8 @@ struct ProtectedDatabaseOptions {
   bool persist_counts = false;
   size_t count_cache_capacity = 1024;
   /// When true, ExecuteSql/GetByKey account delays but do NOT sleep;
-  /// the caller serves the stall (ConcurrentProtectedDatabase uses
-  /// this to sleep outside its lock).
+  /// the caller serves the stall (serial baselines use this to measure
+  /// the charge without waiting it out).
   bool defer_delay_sleep = false;
   /// Entries in the statement-text -> parsed AST + access plan cache
   /// that lets repeated statements skip lexer -> parser -> planner.
@@ -108,21 +108,33 @@ class ProtectedDatabase {
   ProtectedDatabase(const ProtectedDatabase&) = delete;
   ProtectedDatabase& operator=(const ProtectedDatabase&) = delete;
 
-  /// Executes one SQL statement with delay protection. Consults the
-  /// plan cache (when enabled) so repeated statement texts skip the
-  /// lexer -> parser -> planner pipeline entirely.
+  /// Executes one SQL statement with delay protection: Prepare, Run,
+  /// then Learn and charge the returned tuples when ChargesTuples.
   Result<ProtectedResult> ExecuteSql(const std::string& sql);
 
-  /// Executes an already-compiled statement. The cached access plan is
-  /// used only when its schema-version stamp still matches the live
-  /// database (fails closed to a fresh planning pass otherwise). DDL
-  /// statements invalidate the plan cache after executing.
-  Result<ProtectedResult> ExecutePrepared(const PreparedStatement& prepared);
+  /// Compiles `sql`: through the plan cache when it is on (repeated
+  /// texts skip lexer -> parser -> planner), else a fresh parse.
+  Result<std::shared_ptr<const PreparedStatement>> Prepare(
+      const std::string& sql);
 
-  /// Executes a parsed statement with delay protection, optionally with
-  /// a pre-validated SELECT access plan.
-  Result<ProtectedResult> ExecuteStatement(
-      const Statement& stmt, const AccessPlan* select_plan_hint = nullptr);
+  /// Runs a compiled statement -- executor (using the cached access
+  /// plan only while its schema-version stamp matches the live
+  /// database), CREATE TABLE fixup, write bookkeeping, plan-cache
+  /// invalidation after DDL -- and learns and charges nothing. The
+  /// concurrent door's only way into the executor.
+  Result<QueryResult> Run(const PreparedStatement& prepared);
+
+  /// True iff `stmt` is a SELECT on the protected table: each tuple it
+  /// returns is one access event and one delay unit.
+  bool ChargesTuples(const Statement& stmt) const {
+    return stmt.kind == Statement::Kind::kSelect &&
+           stmt.select.table == protected_table_name_;
+  }
+
+  /// Records each key as one access in the access tracker (and the
+  /// persistent count cache). The concurrent door calls it under its
+  /// exclusive stats spine.
+  Status Learn(const std::vector<int64_t>& keys);
 
   /// Convenience single-tuple retrieval (the paper's canonical query).
   Result<ProtectedResult> GetByKey(int64_t key);
@@ -130,27 +142,23 @@ class ProtectedDatabase {
   /// Delay that retrieving `key` would cost right now.
   double PeekDelay(int64_t key) const { return engine_->Peek(key); }
 
-  /// Snapshot hook for concurrent front doors: the delay the active
-  /// policy charges for `key` given an externally supplied snapshot of
-  /// its *access* popularity. Does not touch the access tracker, so
-  /// concurrent sessions can compute (and then serve) their stalls in
-  /// parallel from read-mostly snapshots. For update-rate-based modes
-  /// the update tracker is read directly, which is safe whenever
-  /// writers are excluded (the concurrent wrapper's DDL/writer path is
-  /// exclusive). Mutates nothing.
+  /// The concurrent door's one pricer, for point reads and SQL tuples
+  /// alike: the delay the active policy charges for `key` given a
+  /// snapshot of its *access* popularity. Update-rate-based modes read
+  /// the update tracker directly, so the caller must exclude its
+  /// writers. Mutates nothing.
   double DelayForAccessStats(const PopularityStats& stats,
                              int64_t key) const;
 
-  /// Concurrent-write seam: the update-rate side of the bookkeeping
-  /// that ExecuteStatement performs after a committed mutation (the
-  /// access-tracker side goes through the concurrent wrapper's spine).
-  /// `logical_rows` is the caller-maintained row count — the version
-  /// store makes NumRows() stale between commits — and `touched_keys`
-  /// are Record()ed exactly as the serial path would. The caller must
-  /// exclude concurrent readers of the update tracker / policy.
-  void RecordWriteForConcurrent(Statement::Kind kind,
-                                uint64_t logical_rows,
-                                const std::vector<int64_t>& touched_keys);
+  /// The update-rate side of a committed write's bookkeeping (Run keeps
+  /// the access-tracker side itself; the concurrent door keeps it on
+  /// its spine). `logical_rows` is the relation's row count after the
+  /// write -- the concurrent door passes its own, since the version
+  /// store makes NumRows() stale between commits -- and `touched_keys`
+  /// are Record()ed as update events. The caller must exclude
+  /// concurrent readers of the update tracker / policy.
+  void RecordWrite(Statement::Kind kind, uint64_t logical_rows,
+                   const std::vector<int64_t>& touched_keys);
 
   /// Point-in-time operational metrics.
   ProtectedDatabaseMetrics Metrics() const;
@@ -164,7 +172,9 @@ class ProtectedDatabase {
 
   CountTracker* access_tracker() { return access_tracker_.get(); }
   UpdateTracker* update_tracker() { return update_tracker_.get(); }
-  DelayEngine* engine() { return engine_.get(); }
+  /// The configured delay policy (serial pricing; its name is the
+  /// `policy_name` metric).
+  const DelayPolicy& policy() const { return *policy_; }
   Database* raw_database() { return db_.get(); }
   Table* table() { return table_; }
   CountCache* count_cache() { return count_cache_.get(); }
@@ -178,6 +188,12 @@ class ProtectedDatabase {
       : options_(options), clock_(clock) {}
 
   Status Init(const std::string& dir, const std::string& table_name);
+  /// Serial pricing: charges and serves (with defer_delay_sleep, only
+  /// charges) one delay per key through the DelayEngine; the sum.
+  double Charge(const std::vector<int64_t>& keys);
+  /// Seconds since open, the window that turns update counts into
+  /// rates (never zero).
+  double RateWindowSeconds() const;
 
   ProtectedDatabaseOptions options_;
   Clock* clock_;

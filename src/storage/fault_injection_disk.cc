@@ -58,6 +58,8 @@ Status FaultInjectionDiskManager::ReadPage(PageId id, char* out) const {
                            path_ + ": injected EIO");
   }
   {
+    // Same lock order as Open, Sync and Truncate: state, then disk.
+    std::lock_guard<std::mutex> state_lock(state_->mu);
     std::lock_guard<std::mutex> lock(mu_);
     if (id >= page_count_) {
       return Status::InvalidArgument("read past end of file: page " +
@@ -67,7 +69,6 @@ Status FaultInjectionDiskManager::ReadPage(PageId id, char* out) const {
     if (it != volatile_pages_.end()) {
       std::memcpy(out, it->second.data(), kPageSize);
     } else {
-      std::lock_guard<std::mutex> state_lock(state_->mu);
       auto dit = state_->durable_pages.find(id);
       if (dit != state_->durable_pages.end()) {
         std::memcpy(out, dit->second.data(), kPageSize);

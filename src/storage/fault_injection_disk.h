@@ -69,6 +69,7 @@ class FaultInjectionDiskManager : public DiskManager {
   std::string path_;
   bool open_ = false;
 
+  // Taken after state_->mu whenever both are held.
   mutable std::mutex mu_;
   std::map<PageId, FaultDiskState::PageImage> volatile_pages_;
   uint32_t page_count_ = 0;

@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -449,6 +450,126 @@ TEST_F(MvccTest, UpdateAccountingMatchesSerialOracle) {
         << "key " << key;
   }
   EXPECT_EQ(cdb_->logical_rows(), oracle->table()->NumRows());
+}
+
+// The paper charges a k-tuple result the sum of k single-tuple delays,
+// so the door must price a SQL tuple exactly as the serial reference
+// model does: one SQL-only stream (range SELECTs, point SELECTs, a few
+// pk-UPDATEs) through both on one VirtualClock, every statement's
+// charge bit-identical, in both access-based modes and at epoch 1 and
+// the default epoch.
+TEST_F(MvccTest, DoorSqlChargesMatchSerialOracle) {
+  constexpr int kRows = 64;
+  struct Config {
+    DelayMode mode;
+    size_t epoch_batch;
+  };
+  const Config configs[] = {{DelayMode::kAccessPopularity, 1},
+                            {DelayMode::kAccessPopularity, 64},
+                            {DelayMode::kCombinedMax, 1},
+                            {DelayMode::kCombinedMax, 64}};
+  int run = 0;
+  for (const Config& cfg : configs) {
+    SCOPED_TRACE(std::string(DelayModeName(cfg.mode)) + " epoch " +
+                 std::to_string(cfg.epoch_batch));
+    VirtualClock vclock;
+    ProtectedDatabaseOptions opts;
+    opts.mode = cfg.mode;
+    opts.popularity.beta = 1.0;
+    opts.popularity.scale = 0.5;
+    opts.popularity.bounds = {0.001, 30.0};
+    opts.update.c = 2.0;
+    opts.update.bounds = {0.0, 0.05};
+    opts.decay_per_request = 1.001;
+    opts.defer_delay_sleep = true;  // The oracle charges, never sleeps.
+    ConcurrentDatabaseOptions copts;
+    copts.epoch_batch = cfg.epoch_batch;
+    copts.serve_delays = false;
+
+    const fs::path door_dir = dir_ / ("door" + std::to_string(run));
+    const fs::path oracle_dir = dir_ / ("oracle" + std::to_string(run));
+    ++run;
+    fs::create_directories(door_dir);
+    fs::create_directories(oracle_dir);
+    auto door_open = ConcurrentProtectedDatabase::Open(
+        door_dir.string(), "items", &vclock, opts, copts);
+    ASSERT_TRUE(door_open.ok()) << door_open.status().ToString();
+    auto& door = *door_open;
+    auto oracle_open = ProtectedDatabase::Open(oracle_dir.string(),
+                                               "items", &vclock, opts);
+    ASSERT_TRUE(oracle_open.ok()) << oracle_open.status().ToString();
+    auto& oracle = *oracle_open;
+    const std::string create =
+        "CREATE TABLE items (id INT PRIMARY KEY, v DOUBLE)";
+    ASSERT_TRUE(door->ExecuteSql(create).ok());
+    ASSERT_TRUE(oracle->ExecuteSql(create).ok());
+    for (int i = 1; i <= kRows; ++i) {
+      const Row row = {Value(static_cast<int64_t>(i)), Value(1.0)};
+      ASSERT_TRUE(door->BulkLoadRow(row).ok());
+      ASSERT_TRUE(oracle->BulkLoadRow(row).ok());
+    }
+
+    uint64_t tuples = 0;
+    std::set<double> charges;
+    for (int i = 0; i < 240; ++i) {
+      vclock.AdvanceToMicros(vclock.NowMicros() + 250'000);
+      std::string sql;
+      if (i % 9 == 4) {
+        sql = "UPDATE items SET v = " + std::to_string(i) +
+              ".0 WHERE id = " + std::to_string(1 + (i * 5) % 12);
+      } else if (i % 3 == 0) {
+        const int lo = 1 + (i * 13) % (kRows - 8);
+        sql = "SELECT * FROM items WHERE id BETWEEN " +
+              std::to_string(lo) + " AND " +
+              std::to_string(lo + 1 + i % 7);
+      } else {
+        // Skewed point reads so ranks and f_max move.
+        sql = "SELECT * FROM items WHERE id = " +
+              std::to_string(1 + (i * i) % 11);
+      }
+      auto a = door->ExecuteSql(sql);
+      ASSERT_TRUE(a.ok()) << sql << ": " << a.status().ToString();
+      auto b = oracle->ExecuteSql(sql);
+      ASSERT_TRUE(b.ok()) << sql << ": " << b.status().ToString();
+      ASSERT_EQ(a->result.touched_keys, b->result.touched_keys) << sql;
+      EXPECT_EQ(a->delay_seconds, b->delay_seconds) << "statement " << i
+                                                    << ": " << sql;
+      if (sql[0] == 'S') tuples += a->result.touched_keys.size();
+      charges.insert(a->delay_seconds);
+    }
+    // Range scans returned multi-tuple results, and the learned prices
+    // moved (the stream is not pinned at a bound).
+    EXPECT_GT(tuples, 240u);
+    EXPECT_GT(charges.size(), 150u);
+  }
+}
+
+// The door prices and bills SQL tuples itself: the serial engine it
+// wraps is never charged, and the door's bill is exactly the sum of the
+// delays it returned.
+TEST_F(MvccTest, DoorSqlNeverFeedsTheSerialEngine) {
+  ProtectedDatabaseOptions opts;
+  opts.popularity.beta = 1.0;
+  opts.popularity.scale = 0.25;
+  opts.popularity.bounds = {0.001, 10.0};
+  OpenDb(32, opts, ConcurrentDatabaseOptions{});
+  double returned = 0.0;
+  uint64_t tuples = 0;
+  for (int i = 0; i < 50; ++i) {
+    const int lo = 1 + (i * 7) % 28;
+    auto r = cdb_->ExecuteSql("SELECT * FROM items WHERE id BETWEEN " +
+                              std::to_string(lo) + " AND " +
+                              std::to_string(lo + 3));
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    returned += r->delay_seconds;
+    tuples += r->result.touched_keys.size();
+  }
+  ASSERT_EQ(tuples, 200u);
+  const ProtectedDatabaseMetrics door = cdb_->Metrics();
+  EXPECT_EQ(door.delays_charged, tuples);
+  EXPECT_DOUBLE_EQ(door.total_delay_seconds, returned);
+  EXPECT_EQ(door.total_requests, tuples);
+  EXPECT_EQ(cdb_->unsafe_inner()->Metrics().delays_charged, 0u);
 }
 
 // Satellite 3: the 8-thread 80/20 read/write storm. Writers are

@@ -9,7 +9,6 @@
 #include "sql/lexer.h"
 #include "sql/parser.h"
 #include "sql/planner.h"
-#include "sql/statement_template.h"
 #include "storage/database.h"
 
 namespace tarpit {
@@ -514,89 +513,6 @@ TEST_F(ExecutorTest, BetweenDesugarsToRangeScan) {
   EXPECT_EQ(r2.rows.size(), 3u);  // v in {1.0, 1.5, 2.0}.
   EXPECT_FALSE(exec_->ExecuteSql("SELECT * FROM t WHERE id BETWEEN 5")
                    .ok());
-}
-
-// ---------- StatementTemplate ----------
-
-TEST(StatementTemplateTest, RendersEscapedLiterals) {
-  auto tmpl = StatementTemplate::Parse(
-      "SELECT * FROM users WHERE city = ? AND age > ?");
-  ASSERT_TRUE(tmpl.ok());
-  EXPECT_EQ(tmpl->num_params(), 2u);
-  auto sql = tmpl->Render({Value("ann arbor"), Value(int64_t{21})});
-  ASSERT_TRUE(sql.ok());
-  EXPECT_EQ(*sql,
-            "SELECT * FROM users WHERE city = 'ann arbor' AND age > 21");
-}
-
-TEST(StatementTemplateTest, InjectionAttemptIsNeutralized) {
-  auto tmpl = StatementTemplate::Parse(
-      "SELECT * FROM users WHERE name = ?");
-  ASSERT_TRUE(tmpl.ok());
-  // Classic smuggle: close the string, widen the predicate.
-  auto sql = tmpl->Render({Value("x' OR id > 0 OR name = 'x")});
-  ASSERT_TRUE(sql.ok());
-  // The rendered SQL keeps the whole payload inside ONE string literal.
-  EXPECT_EQ(*sql,
-            "SELECT * FROM users WHERE name = "
-            "'x'' OR id > 0 OR name = ''x'");
-  // And it parses back to a single equality, not three predicates.
-  auto stmt = Parser::Parse(*sql);
-  ASSERT_TRUE(stmt.ok());
-  EXPECT_EQ(stmt->select.where->kind, Expr::Kind::kBinary);
-  EXPECT_EQ(stmt->select.where->op, BinaryOp::kEq);
-  EXPECT_EQ(stmt->select.where->rhs->literal.AsString(),
-            "x' OR id > 0 OR name = 'x");
-}
-
-TEST(StatementTemplateTest, QuestionMarkInsideStringIsNotAParam) {
-  auto tmpl = StatementTemplate::Parse(
-      "SELECT * FROM t WHERE name = 'what?' AND id = ?");
-  ASSERT_TRUE(tmpl.ok());
-  EXPECT_EQ(tmpl->num_params(), 1u);
-  auto sql = tmpl->Render({Value(int64_t{5})});
-  ASSERT_TRUE(sql.ok());
-  EXPECT_EQ(*sql, "SELECT * FROM t WHERE name = 'what?' AND id = 5");
-}
-
-TEST(StatementTemplateTest, TypedRendering) {
-  auto tmpl = StatementTemplate::Parse("INSERT INTO t VALUES (?, ?, ?)");
-  ASSERT_TRUE(tmpl.ok());
-  auto sql = tmpl->Render({Value(int64_t{1}), Value(2.0), Value::Null()});
-  ASSERT_TRUE(sql.ok());
-  EXPECT_EQ(*sql, "INSERT INTO t VALUES (1, 2.0, NULL)");
-  // Doubles survive a round trip through the lexer as doubles.
-  auto stmt = Parser::Parse(*sql);
-  ASSERT_TRUE(stmt.ok());
-  EXPECT_TRUE(stmt->insert.rows[0][1].is_double());
-}
-
-TEST(StatementTemplateTest, ArityAndSyntaxErrors) {
-  auto tmpl = StatementTemplate::Parse("SELECT * FROM t WHERE id = ?");
-  ASSERT_TRUE(tmpl.ok());
-  EXPECT_FALSE(tmpl->Render({}).ok());
-  EXPECT_FALSE(
-      tmpl->Render({Value(int64_t{1}), Value(int64_t{2})}).ok());
-  EXPECT_FALSE(StatementTemplate::Parse("SELECT 'open").ok());
-}
-
-TEST_F(ExecutorTest, TemplateEndToEnd) {
-  MustExec("CREATE TABLE t (id INT PRIMARY KEY, name TEXT)");
-  auto ins = StatementTemplate::Parse("INSERT INTO t VALUES (?, ?)");
-  ASSERT_TRUE(ins.ok());
-  for (int i = 1; i <= 3; ++i) {
-    auto sql = ins->Render({Value(static_cast<int64_t>(i)),
-                            Value("it's #" + std::to_string(i))});
-    ASSERT_TRUE(sql.ok());
-    MustExec(*sql);
-  }
-  auto sel = StatementTemplate::Parse("SELECT name FROM t WHERE id = ?");
-  ASSERT_TRUE(sel.ok());
-  auto sql = sel->Render({Value(int64_t{2})});
-  ASSERT_TRUE(sql.ok());
-  QueryResult r = MustExec(*sql);
-  ASSERT_EQ(r.rows.size(), 1u);
-  EXPECT_EQ(r.rows[0][0].AsString(), "it's #2");
 }
 
 }  // namespace
