@@ -139,8 +139,12 @@ class ProtectedDatabase {
   /// Convenience single-tuple retrieval (the paper's canonical query).
   Result<ProtectedResult> GetByKey(int64_t key);
 
-  /// Delay that retrieving `key` would cost right now.
-  double PeekDelay(int64_t key) const { return engine_->Peek(key); }
+  /// Delay that retrieving `key` would cost right now (the door's
+  /// pricer over the access tracker's current stats and the live rate
+  /// window).
+  double PeekDelay(int64_t key) const {
+    return DelayForAccessStats(access_tracker_->Stats(key), key);
+  }
 
   /// The concurrent door's one pricer, for point reads and SQL tuples
   /// alike: the delay the active policy charges for `key` given a

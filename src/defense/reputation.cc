@@ -122,13 +122,17 @@ uint64_t ReputationStore::ObserveEntry(Entry* entry, int64_t key,
       entry->breadth =
           std::make_unique<HyperLogLog>(options_.hll_precision);
     }
-    entry->breadth->Add(key);
-    double coverage =
-        entry->breadth->Estimate() / static_cast<double>(universe_n);
-    double past_free = coverage - options_.breadth_free_fraction;
-    if (past_free > 0.0) {
-      uint64_t due = static_cast<uint64_t>(
-          past_free / options_.breadth_signal_stride);
+    // The estimate moves only when a register rises, so an Add that
+    // changes none cannot make a new stride due. (A universe that
+    // shrank since the last check is seen at the next register rise.)
+    if (entry->breadth->Add(key)) {
+      double coverage =
+          entry->breadth->Estimate() / static_cast<double>(universe_n);
+      double past_free = coverage - options_.breadth_free_fraction;
+      uint64_t due = past_free > 0.0
+                         ? static_cast<uint64_t>(
+                               past_free / options_.breadth_signal_stride)
+                         : 0;
       if (due > entry->breadth_signals) {
         uint64_t n = due - entry->breadth_signals;
         entry->breadth_signals = due;
@@ -327,6 +331,20 @@ size_t ReputationStore::tracked_identities() const {
 size_t ReputationStore::tracked_subnets() const {
   std::lock_guard<std::mutex> lock(subnet_mu_);
   return subnets_.size();
+}
+
+size_t ReputationStore::breadth_sketch_bytes() const {
+  auto sketch_bytes = [](const Entry& e) {
+    return e.breadth == nullptr ? size_t{0} : e.breadth->bytes();
+  };
+  size_t total = 0;
+  for (const auto& shard : identity_shards_) {
+    std::lock_guard<std::mutex> lock(shard->mu);
+    for (const auto& [id, e] : shard->entries) total += sketch_bytes(e);
+  }
+  std::lock_guard<std::mutex> lock(subnet_mu_);
+  for (const auto& [subnet, e] : subnets_) total += sketch_bytes(e);
+  return total;
 }
 
 uint64_t ReputationStore::signals_total() const {

@@ -130,6 +130,9 @@ class ReputationStore : public PrincipalPenalty {
 
   size_t tracked_identities() const;
   size_t tracked_subnets() const;
+  /// Memory held by every tracked principal's breadth sketch
+  /// (HyperLogLog::bytes() summed over identities and subnets).
+  size_t breadth_sketch_bytes() const;
   uint64_t signals_total() const;
   const ReputationOptions& options() const { return options_; }
 

@@ -78,6 +78,7 @@ bool LoadClient::LaunchOne() {
     return true;
   }
   ++inflight_;
+  ++unsent_;
   conns_.push_back(std::move(conn));
   return true;
 }
@@ -85,6 +86,7 @@ bool LoadClient::LaunchOne() {
 void LoadClient::FailConn(Conn* c) {
   if (c->fd < 0) return;
   if (c->state == Conn::State::kConnecting) --inflight_;
+  if (c->state != Conn::State::kAwait) --unsent_;
   ::epoll_ctl(epfd_, EPOLL_CTL_DEL, c->fd, nullptr);
   CloseFd(c->fd);
   c->fd = -1;
@@ -120,6 +122,7 @@ void LoadClient::OnWritable(Conn* c) {
   c->out.clear();
   c->state = Conn::State::kAwait;
   ++sent_;
+  --unsent_;
   epoll_event ev{};
   ev.events = EPOLLIN | EPOLLRDHUP;
   ev.data.ptr = c;

@@ -49,10 +49,14 @@ class LoadClient {
 
   Status Init();
   /// Pumps connects/sends/reads for up to `budget_millis`. Call
-  /// repeatedly until done() (all requests sent or failed), then keep
-  /// calling to collect responses if desired.
+  /// repeatedly until done(), then keep calling to collect responses
+  /// if desired.
   void Drive(int budget_millis);
-  bool done() const { return launched_ == options_.connections; }
+  /// Every connection has been launched and has sent its request or
+  /// failed.
+  bool done() const {
+    return launched_ == options_.connections && unsent_ == 0;
+  }
 
   size_t connected() const { return connected_; }
   size_t requests_sent() const { return sent_; }
@@ -75,6 +79,7 @@ class LoadClient {
   std::vector<std::unique_ptr<Conn>> conns_;
   size_t launched_ = 0;   // Connects started (success or failure).
   size_t inflight_ = 0;   // Connects not yet writable.
+  size_t unsent_ = 0;     // Live connections whose request is not out.
   size_t connected_ = 0;
   size_t sent_ = 0;
   size_t responses_ = 0;

@@ -452,6 +452,35 @@ TEST_F(MvccTest, UpdateAccountingMatchesSerialOracle) {
   EXPECT_EQ(cdb_->logical_rows(), oracle->table()->NumRows());
 }
 
+// PeekDelay on a door's inner database is "the delay retrieving `key`
+// would cost right now": it must price with the live rate window, not a
+// window only the serial charge path refreshes (the inner database of
+// a door is never charged, so that window stayed at its initial 1 s).
+TEST_F(MvccTest, InnerPeekDelayUsesTheLiveRateWindow) {
+  VirtualClock vclock;
+  ProtectedDatabaseOptions opts;
+  opts.mode = DelayMode::kUpdateRate;
+  opts.update.c = 1.0;
+  opts.update.bounds = {0.0, 10.0};
+  OpenDb(16, opts, ConcurrentDatabaseOptions{}, &vclock);
+
+  // Key 1 updated 10 times over 10 s, then 90 s idle.
+  for (int i = 1; i <= 10; ++i) {
+    vclock.AdvanceToMicros(i * 1'000'000LL);
+    ASSERT_TRUE(cdb_->ExecuteSql("UPDATE items SET v = " +
+                                 std::to_string(i) + ".0 WHERE id = 1")
+                    .ok());
+  }
+  vclock.AdvanceToMicros(100'000'000);
+  cdb_->QuiesceStats();
+  const double peek = cdb_->unsafe_inner()->PeekDelay(1);
+  auto charged = cdb_->GetByKey(1);
+  ASSERT_TRUE(charged.ok()) << charged.status().ToString();
+  // c / (n * rate) = 1 / (16 * 10 updates / 100 s).
+  EXPECT_DOUBLE_EQ(charged->delay_seconds, 0.625);
+  EXPECT_DOUBLE_EQ(peek, charged->delay_seconds);
+}
+
 // The paper charges a k-tuple result the sum of k single-tuple delays,
 // so the door must price a SQL tuple exactly as the serial reference
 // model does: one SQL-only stream (range SELECTs, point SELECTs, a few

@@ -2,14 +2,18 @@
 // session churn, and the wiring through the perimeter and the door.
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/clock.h"
+#include "common/hyperloglog.h"
 #include "core/concurrent_db.h"
 #include "core/protected_db.h"
 #include "defense/identity.h"
@@ -231,6 +235,135 @@ TEST(ReputationStoreTest, PublishesMetrics) {
                     {{"scope", "identity"}});
   ASSERT_NE(tracked, nullptr);
   EXPECT_EQ(tracked->value, 1);
+}
+
+// ---------- Breadth sketches: footprint, strides, promotion ----------
+
+TEST(ReputationStoreTest, OneShotPrincipalsHoldSparseSketches) {
+  // 100k principals that each read one tuple. Dense sketches would hold
+  // 100k x 4 KB of registers; sparse ones must hold <= 10% of that.
+  ReputationOptions opts;
+  opts.max_identities_per_shard = 1 << 20;  // Track every one.
+  ReputationStore store(opts);
+  const uint64_t kPrincipals = 100'000;
+  for (uint64_t id = 1; id <= kPrincipals; ++id) {
+    const uint32_t subnet = 0x0A000000 + static_cast<uint32_t>(id % 1000)
+                                             * 256;
+    store.ObserveAccess(id, subnet, static_cast<int64_t>(id), 1'000'000,
+                        0.0);
+  }
+  ASSERT_EQ(store.tracked_identities(), kPrincipals);
+  ASSERT_EQ(store.tracked_subnets(), 1000u);
+  const size_t dense_bytes = kPrincipals * (size_t{1} << opts.hll_precision);
+  EXPECT_LE(store.breadth_sketch_bytes(), dense_bytes / 10);
+}
+
+TEST(ReputationStoreTest, BreadthStridesUnchangedPastPromotion) {
+  // The stride check runs only when a sketch register rises. A
+  // principal walking well past the sparse->dense promotion must still
+  // fire exactly the signals a check after every access would.
+  ReputationOptions opts;
+  ReputationStore store(opts);
+  HyperLogLog shadow(opts.hll_precision);
+  const uint64_t n = 20'000;
+  uint64_t due = 0;
+  for (int64_t i = 0; i < 6000; ++i) {
+    const int64_t key = i % 4000;  // The last 2000 are revisits.
+    store.ObserveAccess(kAlice, kSubnetA, key, n, 0.0);
+    shadow.Add(key);
+    const double past_free = shadow.Estimate() / static_cast<double>(n) -
+                             opts.breadth_free_fraction;
+    if (past_free > 0.0) {
+      due = std::max(due, static_cast<uint64_t>(
+                              past_free / opts.breadth_signal_stride));
+    }
+    // Identity and subnet see the same keys, so each fires `due`.
+    ASSERT_EQ(store.signals_total(), 2 * due) << "access " << i;
+  }
+  EXPECT_GE(due, 15u);
+  ASSERT_FALSE(shadow.sparse());
+  EXPECT_GE(store.breadth_sketch_bytes(), 2 * shadow.bytes());
+}
+
+TEST(ReputationStoreConcurrencyTest, PromotionUnderContention) {
+  // Six writers walk two identities each across the sparse->dense
+  // promotion, sharing two /24s, while two readers poll PenaltyFactor.
+  // Each identity's stream is serial within its writer. Each subnet's
+  // 12k keys end far past the linear-counting switch (the one place an
+  // estimate can dip), so its final estimate is its highest whatever
+  // the interleaving. The result must match a serial replay exactly.
+  constexpr int kWriters = 6;
+  constexpr int kReaders = 2;
+  constexpr int kIdsPerWriter = 2;
+  constexpr int64_t kKeysPerId = 2000;
+  const uint64_t n = 30'000;
+  ReputationOptions opts;
+  opts.shards = 4;
+  ReputationStore store(opts);
+  ReputationStore serial(opts);
+  auto id_of = [](int w, int j) {
+    return static_cast<uint64_t>(100 + w * kIdsPerWriter + j);
+  };
+  auto subnet_of = [](int w) { return w % 2 == 0 ? kSubnetA : kSubnetB; };
+  auto key_of = [](int w, int j, int64_t i) {
+    return static_cast<int64_t>(w * kIdsPerWriter + j) * 1000 + i;
+  };
+
+  std::atomic<int> writers_left{kWriters};
+  std::atomic<bool> below_baseline{false};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      for (int64_t i = 0; i < kKeysPerId; ++i) {
+        for (int j = 0; j < kIdsPerWriter; ++j) {
+          store.ObserveAccess(id_of(w, j), subnet_of(w), key_of(w, j, i), n,
+                              0.0);
+        }
+      }
+      writers_left.fetch_sub(1);
+    });
+  }
+  for (int r = 0; r < kReaders; ++r) {
+    threads.emplace_back([&] {
+      while (writers_left.load() > 0) {
+        for (int w = 0; w < kWriters; ++w) {
+          for (int j = 0; j < kIdsPerWriter; ++j) {
+            if (store.PenaltyFactor(id_of(w, j), subnet_of(w), 0.0) < 1.0) {
+              below_baseline.store(true);
+            }
+          }
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_FALSE(below_baseline.load());
+
+  for (int w = 0; w < kWriters; ++w) {
+    for (int64_t i = 0; i < kKeysPerId; ++i) {
+      for (int j = 0; j < kIdsPerWriter; ++j) {
+        serial.ObserveAccess(id_of(w, j), subnet_of(w), key_of(w, j, i), n,
+                             0.0);
+      }
+    }
+  }
+  for (int w = 0; w < kWriters; ++w) {
+    for (int j = 0; j < kIdsPerWriter; ++j) {
+      EXPECT_EQ(store.IdentityPenalty(id_of(w, j), 0.0),
+                serial.IdentityPenalty(id_of(w, j), 0.0));
+      EXPECT_GT(store.IdentityPenalty(id_of(w, j), 0.0), 1.0);
+    }
+  }
+  EXPECT_EQ(store.SubnetPenalty(kSubnetA, 0.0),
+            serial.SubnetPenalty(kSubnetA, 0.0));
+  EXPECT_EQ(store.SubnetPenalty(kSubnetB, 0.0),
+            serial.SubnetPenalty(kSubnetB, 0.0));
+  EXPECT_EQ(store.signals_total(), serial.signals_total());
+  // Every identity and both subnets crossed into dense registers.
+  const size_t dense = size_t{1} << opts.hll_precision;
+  EXPECT_GE(store.breadth_sketch_bytes(),
+            (kWriters * kIdsPerWriter + 2) * dense);
+  EXPECT_EQ(store.breadth_sketch_bytes(), serial.breadth_sketch_bytes());
 }
 
 // ---------- Persistence across session churn ----------
