@@ -21,7 +21,7 @@
 //      INTENDED exponential send time, coordinated-omission-free) of
 //      undelayed point reads over the wire vs. the in-process async
 //      door. Both paths ride the same DelayScheduler (a zero delay
-//      still rounds up to the next wheel tick), so the ratio isolates
+//      completes through its completion queue), so the ratio isolates
 //      what the network adds: accept/frame/epoll/write. Bar: <= 2x
 //      (4x tiny: CI boxes share cores and the absolute numbers are
 //      sub-millisecond).
@@ -226,8 +226,9 @@ CapacityResult RunCapacity(const fs::path& dir, size_t requested) {
 // ---- Phase 2: network vs in-process p50 on undelayed reads. ---------
 
 /// In-process op: the async door, awaited synchronously. A zero delay
-/// still parks on the wheel until the next tick, exactly like the
-/// server-side path -- the comparison isolates the network.
+/// completes through the scheduler's completion queue without parking,
+/// exactly like the server-side path -- the comparison isolates the
+/// network.
 bench::OpenLoopStats RunInprocOpenLoop(const fs::path& dir,
                                        const bench::OpenLoopOptions& oopts) {
   RealClock clock;

@@ -267,7 +267,7 @@ FloodResult MeasureGovernorFlood(const fs::path& dir, bool tiny) {
   r.flood = r.budget * 8;
   fs::create_directories(dir);
 
-  // Real time: a VirtualClock wheel instant-fires every submission
+  // Real time: a VirtualClock scheduler instant-fires every submission
   // (simulation mode), which would release each slot before the next
   // submit. With 0.4s stalls and microsecond submits, the budget
   // genuinely fills and the overload is real.
@@ -343,9 +343,9 @@ FloodResult MeasureGovernorFlood(const fs::path& dir, bool tiny) {
   r.benign_p99_before = run_benign(1);
 
   // The flood: one identity walking distinct tuples (extraction-shaped
-  // breadth) with async queries that all want a wheel slot. Sheds
+  // breadth) with async queries that all want a parked slot. Sheds
   // complete inline on this thread; admitted stalls complete on the
-  // wheel's dispatchers ~0.4s later.
+  // scheduler's dispatchers ~0.4s later.
   std::atomic<uint64_t> served{0};
   std::atomic<uint64_t> shed{0};
   const uint64_t before_charges = door->Metrics().delays_charged;
@@ -366,7 +366,7 @@ FloodResult MeasureGovernorFlood(const fs::path& dir, bool tiny) {
     r.peak_parked_bytes =
         std::max(r.peak_parked_bytes, gov.parked_bytes());
   }
-  // Let the admitted stalls expire and the wheel drain.
+  // Let the admitted stalls expire and the scheduler drain.
   const double deadline = NowSeconds() + 30.0;
   while (served.load() + shed.load() < r.flood &&
          NowSeconds() < deadline) {

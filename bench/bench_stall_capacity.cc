@@ -4,9 +4,9 @@
 // The paper's defense works by making every query wait; under the seed
 // implementation each waiting query *holds an OS thread* for its whole
 // stall, so the server's concurrent-stall capacity equals its thread
-// count. The DelayScheduler (hierarchical timer wheel + dispatcher
-// pool) turns a stalled request into a parked wheel entry instead, so
-// the same fixed thread budget carries tens of thousands of
+// count. The DelayScheduler (an ordered index of exact deadlines +
+// dispatcher pool) turns a stalled request into a parked index entry
+// instead, so the same fixed thread budget carries tens of thousands of
 // simultaneous stalls -- the section 2.4 parallel-attack regime where
 // many registered identities extract (and stall) at once.
 //
@@ -15,22 +15,28 @@
 // only variable is stall scheduling):
 //   * blocking: kThreads workers call GetByKey and sleep through their
 //     own stalls. Peak concurrent stalls is structurally <= kThreads.
-//   * async: ONE submitter calls GetByKeyAsync; stalls park on the
-//     wheel and complete on 8 dispatcher threads. Peak concurrent
+//   * async: ONE submitter calls GetByKeyAsync; stalls park in the
+//     scheduler and complete on 8 dispatcher threads. Peak concurrent
 //     stalls is the scheduler's parked() high-water mark.
 //
 // Acceptance targets (ISSUE 2):
 //   * async peak concurrent stalls >= 50x the blocking path's at the
 //     same dispatcher/thread budget;
 //   * async total accounted delay matches a serial CountTracker oracle
-//     replaying the identical submission order within 0.01% (the wheel
-//     changes WHERE a stall waits, never HOW MUCH is charged).
+//     replaying the identical submission order within 0.01% (the
+//     scheduler changes WHERE a stall waits, never HOW MUCH is charged).
 //
 // Telemetry acceptance (ISSUE 4): the async run publishes into a
 // MetricRegistry; the tarpit_scheduler_parked gauge must be > 0 in a
 // mid-run snapshot, and the tarpit_delay_charged_ns{policy} histogram
 // median must match the oracle's exact median within 0.1%. The full
 // registry snapshot is embedded in the JSON output.
+//
+// Quantization acceptance: in the async run, each request's completion
+// time minus its submit time minus its charged delay (served minus
+// charged) must have a median <= 250us. Stalls wait their exact
+// deadline, not a timer tick, so what remains is submit-side engine
+// work, driver wakeup and dispatcher queueing.
 //
 // Env: TARPIT_BENCH_TINY=1 shrinks the workload for CI smoke runs;
 // TARPIT_BENCH_JSON=<path> additionally emits machine-readable JSON.
@@ -92,7 +98,6 @@ ConcurrentDatabaseOptions MakeConcurrentOptions(bool async_stalls) {
   copts.serve_delays = true;  // Stalls are real here.
   copts.async_stalls = async_stalls;
   copts.scheduler.num_dispatchers = kThreads;
-  copts.scheduler.tick_micros = 1000;
   return copts;
 }
 
@@ -134,9 +139,12 @@ struct PathResult {
   double qps = 0;           // Completions per wall second, under stall.
   double total_delay = 0;   // Seconds charged across the measured ops.
   size_t peak_stalled = 0;  // Max requests stalling simultaneously.
-  // Registry's view of the wheel mid-run (async only): the
+  // Registry's view of the scheduler mid-run (async only): the
   // tarpit_scheduler_parked gauge read while stalls were in flight.
   int64_t parked_gauge_midrun = 0;
+  // Served minus charged per request, sorted (async only): completion
+  // - submit - Clock::DelayToMicros(charged).
+  std::vector<int64_t> quantization_us;
 };
 
 /// Blocking path: kThreads workers, each thread sleeps through its own
@@ -181,8 +189,8 @@ PathResult RunBlocking(const fs::path& dir,
   return res;
 }
 
-/// Async path: one submitter; stalls park on the wheel; kThreads
-/// dispatchers run completions. Capacity = the wheel's high-water mark.
+/// Async path: one submitter; stalls park in the scheduler; kThreads
+/// dispatchers run completions. Capacity = its high-water mark.
 PathResult RunAsync(const fs::path& dir, const std::vector<int64_t>& seq,
                     obs::MetricRegistry* metrics) {
   RealClock clock;
@@ -192,12 +200,18 @@ PathResult RunAsync(const fs::path& dir, const std::vector<int64_t>& seq,
   std::condition_variable cv;
   size_t completed = 0;
   double total_delay = 0.0;
+  std::vector<int64_t> submitted(seq.size(), 0);
+  std::vector<int64_t> quantization(seq.size(), 0);
   const int64_t start = clock.NowMicros();
-  for (int64_t key : seq) {
-    db->GetByKeyAsync(key, {}, [&](Result<ProtectedResult> r) {
+  for (size_t i = 0; i < seq.size(); ++i) {
+    submitted[i] = clock.NowMicros();
+    db->GetByKeyAsync(seq[i], {}, [&, i](Result<ProtectedResult> r) {
       if (!r.ok()) std::abort();
+      const int64_t now = clock.NowMicros();
       std::lock_guard<std::mutex> lock(mu);
       total_delay += r->delay_seconds;
+      quantization[i] =
+          now - submitted[i] - Clock::DelayToMicros(r->delay_seconds);
       if (++completed == seq.size()) cv.notify_all();
     });
   }
@@ -219,6 +233,8 @@ PathResult RunAsync(const fs::path& dir, const std::vector<int64_t>& seq,
   res.total_delay = total_delay;
   res.peak_stalled = db->delay_scheduler()->peak_parked();
   res.parked_gauge_midrun = parked_gauge;
+  std::sort(quantization.begin(), quantization.end());
+  res.quantization_us = std::move(quantization);
   db.reset();
   fs::remove_all(dir);
   return res;
@@ -228,7 +244,7 @@ PathResult RunAsync(const fs::path& dir, const std::vector<int64_t>& seq,
 /// fires GetByKeyAsync on a fixed exponential schedule and each
 /// request's latency is completion time minus the INTENDED send time.
 /// With stalls served for real, p50 ~ the charged stall; the tail
-/// exposes wheel-tick granularity, dispatcher queueing, and any
+/// exposes driver wakeup latency, dispatcher queueing, and any
 /// submit-side stall the closed-loop runs above would silently absorb.
 bench::OpenLoopStats RunOpenLoopAsync(const fs::path& dir, int ops,
                                       double mean_interarrival_us) {
@@ -321,7 +337,7 @@ int main() {
   fs::remove_all(base);
   fs::create_directories(base);
 
-  std::printf("# Stall capacity: blocking threads vs timer-wheel parking\n");
+  std::printf("# Stall capacity: blocking threads vs deadline-index parking\n");
   std::printf("# rows=%d threads/dispatchers=%d delay in [20,80]ms "
               "blocking_ops=%d async_ops=%d%s\n\n",
               kRows, kThreads, blocking_ops, async_ops,
@@ -394,6 +410,11 @@ int main() {
       hist_count >= static_cast<int64_t>(async_seq.size()) &&
       median_drift <= 1e-3;
   const bool gauge_pass = async_r.parked_gauge_midrun > 0;
+  const double quant_p50_us =
+      bench::PercentileUs(async_r.quantization_us, 0.50);
+  const double quant_p99_us =
+      bench::PercentileUs(async_r.quantization_us, 0.99);
+  const bool quant_pass = quant_p50_us <= 250.0;
 
   std::printf("\n# Acceptance\n");
   std::printf("stall capacity: async peak %zu vs blocking peak %zu -> "
@@ -413,6 +434,9 @@ int main() {
   std::printf("gauge: tarpit_scheduler_parked mid-run %lld (> 0) %s\n",
               static_cast<long long>(async_r.parked_gauge_midrun),
               gauge_pass ? "PASS" : "FAIL");
+  std::printf("quantization: async served - charged p50 %.0fus p99 %.0fus "
+              "(target p50 <= 250us) %s\n",
+              quant_p50_us, quant_p99_us, quant_pass ? "PASS" : "FAIL");
 
   // Open-loop stall fidelity (CO-free, informational): latency from
   // the intended exponential send time through real served stalls.
@@ -448,6 +472,9 @@ int main() {
             "  \"median_pass\": %s,\n"
             "  \"parked_gauge_midrun\": %lld,\n"
             "  \"gauge_pass\": %s,\n"
+            "  \"quantization_p50_us\": %.1f,\n"
+            "  \"quantization_p99_us\": %.1f,\n"
+            "  \"quantization_pass\": %s,\n"
             "%s"
             "  \"registry\": %s\n"
             "}\n",
@@ -460,7 +487,8 @@ int main() {
             hist_median_ns, median_drift,
             median_pass ? "true" : "false",
             static_cast<long long>(async_r.parked_gauge_midrun),
-            gauge_pass ? "true" : "false",
+            gauge_pass ? "true" : "false", quant_p50_us, quant_p99_us,
+            quant_pass ? "true" : "false",
             bench::OpenLoopJsonFields(ol).c_str(),
             obs::ToJson(registry_snap).c_str());
         std::fclose(f);
@@ -470,5 +498,8 @@ int main() {
   }
 
   fs::remove_all(base);
-  return (ratio_pass && drift_pass && median_pass && gauge_pass) ? 0 : 1;
+  return (ratio_pass && drift_pass && median_pass && gauge_pass &&
+          quant_pass)
+             ? 0
+             : 1;
 }

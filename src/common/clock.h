@@ -21,7 +21,7 @@ class Clock {
 
   /// True when time is simulated (VirtualClock): sleeps are
   /// instantaneous bookkeeping. The DelayScheduler uses this to fire
-  /// its timer wheel instantly instead of running a driver thread.
+  /// every stall instantly instead of running a driver thread.
   virtual bool IsVirtual() const { return false; }
 
   double NowSeconds() const { return NowMicros() / 1e6; }
@@ -35,8 +35,8 @@ class Clock {
   static int64_t DelayToMicros(double seconds);
 
   /// Convenience: sleeps for `seconds`, rounded up to whole
-  /// microseconds so every positive charge costs at least one tick of
-  /// wall time.
+  /// microseconds so every positive charge costs at least one
+  /// microsecond of wall time.
   void SleepForSeconds(double seconds) {
     SleepForMicros(DelayToMicros(seconds));
   }

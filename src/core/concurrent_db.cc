@@ -214,7 +214,7 @@ ConcurrentProtectedDatabase::ConcurrentProtectedDatabase(
 }
 
 ConcurrentProtectedDatabase::~ConcurrentProtectedDatabase() {
-  // Drain the wheel first: parked stalls complete with
+  // Drain the scheduler first: parked stalls complete with
   // Status::Cancelled (their callbacks only capture result copies, so
   // this is safe regardless of inner_'s state) and the dispatcher
   // threads join before anything else is torn down.
@@ -424,7 +424,7 @@ bool ConcurrentProtectedDatabase::FinishWithoutParking(
     return true;
   }
   if (scheduler_ == nullptr) {
-    // No wheel: the calling thread sleeps through its own stall
+    // No scheduler: the calling thread sleeps through its own stall
     // (rounded up, so sub-microsecond charges still cost wall time).
     PhaseMarker park(tr, inner_->clock());
     const double delay =
@@ -440,7 +440,7 @@ bool ConcurrentProtectedDatabase::FinishWithoutParking(
     if (!admit.ok()) {
       // Shed before park: the delay charge is already on the books
       // (recorded in the compute phase), so an extraction suspect
-      // still pays -- it just doesn't get to occupy a wheel slot.
+      // still pays -- it just doesn't get to occupy a parked slot.
       EmitEvent(obs::DefenseEventType::kOverloadShed, 0,
                 (*r)->delay_seconds, tr != nullptr ? tr->key : 0);
       EndRequest(tr, *r, /*cancelled=*/false);

@@ -86,16 +86,16 @@ struct ConcurrentDatabaseOptions {
   /// DDL fences). Driven by the injected Clock, never the wall clock,
   /// so VirtualClock tests reclaim deterministically.
   int64_t mvcc_reclaim_interval_micros = 0;
-  /// Async stall scheduling: stalls park on a DelayScheduler (timer
-  /// wheel + dispatcher pool) instead of blocking the calling thread,
+  /// Async stall scheduling: stalls park on a DelayScheduler (deadline
+  /// index + dispatcher pool) instead of blocking the calling thread,
   /// so a fixed thread budget carries tens of thousands of
   /// concurrently-stalled sessions. The *Async entry points complete
   /// via callback on stall expiry; blocking GetByKey/ExecuteSql become
   /// shims that park and wait. Off by default (seed behavior: the
   /// calling thread sleeps through its own stall).
   bool async_stalls = false;
-  /// Wheel geometry and dispatcher pool used when async_stalls is on.
-  /// With a VirtualClock the wheel fires instantly (simulation mode).
+  /// Dispatcher pool used when async_stalls is on. With a VirtualClock
+  /// the scheduler fires instantly (simulation mode).
   DelaySchedulerOptions scheduler;
   /// Per-principal delay escalation seam (the defense layer's
   /// ReputationStore is the implementation). Not owned; must outlive
@@ -107,7 +107,7 @@ struct ConcurrentDatabaseOptions {
   PrincipalPenalty* reputation = nullptr;
   /// Overload governor (shed-before-collapse). When set, a stall is
   /// admitted against the parked-stall budgets before it reaches the
-  /// wheel; refusals complete with Status::Overloaded AFTER the delay
+  /// scheduler; refusals complete with Status::Overloaded AFTER the delay
   /// charge was
   /// recorded in the compute phase, so shed extraction-suspects still
   /// pay their accounting/reputation penalty. The MVCC write path
@@ -203,7 +203,7 @@ class ConcurrentProtectedDatabase {
 
   /// Executes one statement. SELECTs run concurrently with GetByKey
   /// traffic; mutating statements are exclusive. The stall is served
-  /// outside all locks (slept inline, or parked on the wheel when
+  /// outside all locks (slept inline, or parked in the scheduler when
   /// async_stalls is on). The charged delay is escalated by `who`'s
   /// perimeter escalation and, for a nonzero identity, its reputation
   /// penalty; the served tuples feed its breadth learning.
@@ -222,8 +222,8 @@ class ConcurrentProtectedDatabase {
   /// withheld because its delay was never served.
   using AsyncCompletion = std::function<void(Result<ProtectedResult>)>;
 
-  /// Admit -> compute delay under the stripe locks -> park on the
-  /// wheel -> complete on expiry. The calling thread returns as soon
+  /// Admit -> compute delay under the stripe locks -> park in the
+  /// scheduler -> complete on expiry. The calling thread returns as soon
   /// as the computation is done; no thread is held for the stall, and
   /// the PARKED stall already includes `who`'s escalation (it happens
   /// in the compute phase). `session` groups the parked stall for
@@ -241,7 +241,7 @@ class ConcurrentProtectedDatabase {
   /// Returns the number cancelled. No-op when async_stalls is off.
   size_t CancelSession(StallGroup session);
 
-  /// The wheel, for observability (null unless async_stalls).
+  /// The stall scheduler, for observability (null unless async_stalls).
   DelayScheduler* delay_scheduler() { return scheduler_.get(); }
 
   /// The injected clock and the wrapped engine's (immutable) options.
@@ -447,13 +447,13 @@ class ConcurrentProtectedDatabase {
                   const Result<ProtectedResult>& r, bool cancelled);
   /// Stall service, step 1, shared by both finishers: completes `*r`
   /// without parking when it can -- an error (nothing was charged), no
-  /// wheel (the calling thread sleeps through the stall), or a
+  /// scheduler (the calling thread sleeps through the stall), or a
   /// governor shed (`*r` becomes Overloaded; the charge stands).
   /// Returns false when the stall must park; its governor slot is then
   /// already admitted.
   bool FinishWithoutParking(Result<ProtectedResult>* r,
                             obs::RequestTrace* tr);
-  /// Stall service, step 2: parks an admitted stall on the wheel;
+  /// Stall service, step 2: parks an admitted stall in the scheduler;
   /// `done` fires on expiry or cancellation and the slot is released.
   void Park(Result<ProtectedResult>&& r, AsyncCompletion done,
             StallGroup session, obs::RequestTrace* tr);

@@ -5,9 +5,11 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <map>
 #include <mutex>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/clock.h"
@@ -27,41 +29,30 @@ struct DelaySchedulerOptions {
   /// Completion workers: the threads that run expiry callbacks. This
   /// is the *fixed* thread budget that carries every concurrent stall
   /// -- the whole point of the scheduler is that parked requests cost
-  /// a wheel entry, not a thread.
+  /// an index entry, not a thread.
   size_t num_dispatchers = 4;
-  /// Wheel resolution. Expiries are rounded UP to the next tick, so a
-  /// stall is never served short (the defense invariant); it may run
-  /// up to one tick long.
-  int64_t tick_micros = 1000;
-  /// log2 of slots per wheel level.
-  size_t wheel_bits = 8;
-  /// Hierarchy depth. Horizon = tick * 2^(bits*levels); with the
-  /// defaults (1 ms * 256^3) that is ~4.66 hours. Stalls beyond the
-  /// horizon -- extraction-scale multi-hour/multi-week charges -- wait
-  /// in an overflow min-heap and are promoted onto the wheel when they
-  /// come within range.
-  size_t levels = 3;
-  /// Fire every submission instantly through the completion queue
-  /// (simulation mode). Also implied by Clock::IsVirtual(), so
-  /// simulations on a VirtualClock never spin a driver thread.
-  bool virtual_time = false;
-  /// When non-null, the scheduler publishes wheel occupancy, cascade
-  /// and overflow-promotion counts, completion-queue depth, and park /
-  /// dispatch-lag latency histograms here (names are listed in
-  /// docs/INTERNALS.md). Must outlive the scheduler.
+  /// When non-null, the scheduler publishes the parked count,
+  /// completion-queue depth, and park / dispatch-lag latency
+  /// histograms here (names are listed in docs/INTERNALS.md). Must
+  /// outlive the scheduler.
   obs::MetricRegistry* metrics = nullptr;
 };
 
-/// Hierarchical timer wheel + overflow heap with a dispatcher pool:
-/// turns "a stalled request" from a blocked OS thread into a parked
-/// wheel entry, so a fixed thread count can carry tens of thousands of
+/// One ordered index of exact deadlines with a dispatcher pool: turns
+/// "a stalled request" from a blocked OS thread into a parked index
+/// entry, so a fixed thread count can carry tens of thousands of
 /// concurrently-stalled sessions.
 ///
-/// Threads: one driver (advances the wheel; absent in virtual mode)
-/// plus `num_dispatchers` completion workers. Expired/cancelled
-/// entries move to a FIFO completion queue; dispatchers pop and invoke
-/// the callback OUTSIDE the scheduler lock, so callbacks may submit,
-/// cancel, or block without deadlocking the wheel.
+/// A stall fires once `now >= submit + Clock::DelayToMicros(delay)`:
+/// never early (the defense invariant), and late only by the driver's
+/// wakeup latency.
+///
+/// Threads: one driver (sleeps until the first deadline; absent when
+/// the clock is virtual) plus `num_dispatchers` completion workers.
+/// Expired/cancelled entries move to a FIFO completion queue;
+/// dispatchers pop and invoke the callback OUTSIDE the scheduler lock,
+/// so callbacks may submit, cancel, or block without deadlocking the
+/// driver.
 ///
 /// Every submitted callback is invoked exactly once, with
 /// `cancelled == false` on expiry and `cancelled == true` when the
@@ -90,10 +81,11 @@ class DelayScheduler {
   DelayScheduler(const DelayScheduler&) = delete;
   DelayScheduler& operator=(const DelayScheduler&) = delete;
 
-  /// Parks `done` for `delay_seconds` (rounded up to a tick). Zero or
-  /// negative delays complete through the queue immediately, in
-  /// submission order. After shutdown the callback fires inline with
-  /// cancelled=true and the returned id is 0.
+  /// Parks `done` for `delay_seconds` (rounded up to a microsecond).
+  /// Zero or negative delays complete through the queue immediately,
+  /// in submission order; equal deadlines fire in submission order.
+  /// After shutdown the callback fires inline with cancelled=true and
+  /// the returned id is 0.
   TimerId Submit(double delay_seconds, Callback done, StallGroup group = 0);
 
   /// Cancels one parked stall; its callback fires (cancelled=true) on
@@ -111,63 +103,45 @@ class DelayScheduler {
   void Shutdown(ShutdownMode mode = ShutdownMode::kCancelPending);
 
   // --- Observability (locked snapshots). ---------------------------------
-  /// Stalls currently parked on the wheel or overflow heap.
+  /// Stalls currently parked in the deadline index.
   size_t parked() const;
   /// High-water mark of parked() -- the bench's capacity metric.
   size_t peak_parked() const;
   uint64_t scheduled_total() const;
   uint64_t fired_total() const;
   uint64_t cancelled_total() const;
-  /// Level>0 slot drains (entries re-filed toward level 0).
-  uint64_t cascades() const;
-  /// Overflow-heap entries promoted onto the wheel.
-  uint64_t overflow_promotions() const;
-  /// Micros covered by the wheel before the overflow heap takes over.
-  int64_t horizon_micros() const { return span_ticks_ * tick_micros_; }
   bool virtual_time() const { return virtual_; }
   const DelaySchedulerOptions& options() const { return options_; }
 
  private:
-  struct Entry {
-    TimerId id = 0;
+  /// (deadline_micros, id): ids grow monotonically, so equal deadlines
+  /// keep submission order.
+  using Key = std::pair<int64_t, TimerId>;
+  struct Parked {
     StallGroup group = 0;
-    int64_t deadline_tick = 0;
     int64_t submit_micros = 0;
     Callback done;
-    // Intrusive wheel-slot list links + location (for O(1) unlink).
-    Entry* prev = nullptr;
-    Entry* next = nullptr;
-    int level = -1;  // -1 => overflow heap.
-    size_t slot = 0;
   };
+  using Index = std::map<Key, Parked>;
   struct Completion {
     Callback done;
     bool cancelled = false;
   };
 
-  int64_t TickOf(int64_t micros) const { return micros / tick_micros_; }
-
   // All *Locked methods require mu_.
-  void InsertLocked(Entry* e, std::vector<Entry*>* expired);
-  void UnlinkLocked(Entry* e);
-  void CascadeLocked(size_t level, std::vector<Entry*>* expired);
-  void AdvanceToLocked(int64_t now_micros, std::vector<Entry*>* expired);
-  void PromoteOverflowLocked(std::vector<Entry*>* expired);
-  /// Earliest tick at which anything can expire or cascade, or -1.
-  int64_t NextEventTickLocked() const;
-  /// Moves entries to the completion queue (deletes them) and wakes
-  /// dispatchers.
-  void CompleteLocked(std::vector<Entry*>* entries, bool cancelled);
+  /// Moves one parked stall to the completion queue; returns the next
+  /// index position. Call PublishLocked once after a batch.
+  Index::iterator RetireLocked(Index::iterator it, bool cancelled,
+                               int64_t now_micros);
+  /// Refreshes the gauges and wakes dispatchers for `retired` new
+  /// completions.
+  void PublishLocked(size_t retired);
   void DriverLoop();
   void DispatcherLoop();
 
   Clock* clock_;
   DelaySchedulerOptions options_;
   bool virtual_ = false;
-  int64_t tick_micros_ = 1;
-  size_t slots_per_level_ = 0;
-  size_t slot_mask_ = 0;
-  int64_t span_ticks_ = 0;
 
   mutable std::mutex mu_;
   std::condition_variable timer_cv_;  // Driver: new earlier deadline/stop.
@@ -176,28 +150,20 @@ class DelayScheduler {
   bool stop_ = false;
   bool joined_ = false;
   TimerId next_id_ = 1;
-  int64_t current_tick_ = 0;
-  // wheel_[level][slot]: head of an intrusive doubly-linked list.
-  std::vector<std::vector<Entry*>> wheel_;
-  // Min-heap on deadline_tick (std::push_heap with greater-than).
-  std::vector<Entry*> overflow_;
-  std::unordered_map<TimerId, Entry*> entries_;
+  Index index_;
+  std::unordered_map<TimerId, int64_t> deadline_of_;  // For Cancel.
   std::deque<Completion> ready_;
   size_t executing_ = 0;
   size_t peak_parked_ = 0;
   uint64_t scheduled_total_ = 0;
   uint64_t fired_total_ = 0;
   uint64_t cancelled_total_ = 0;
-  uint64_t cascades_ = 0;
-  uint64_t overflow_promotions_ = 0;
 
   // Registry-owned instruments; null when options_.metrics is null so
   // the unobserved hot path pays a single pointer test.
   obs::Counter* m_scheduled_ = nullptr;
   obs::Counter* m_fired_ = nullptr;
   obs::Counter* m_cancelled_ = nullptr;
-  obs::Counter* m_cascades_ = nullptr;
-  obs::Counter* m_overflow_promotions_ = nullptr;
   obs::Gauge* m_parked_ = nullptr;
   obs::Gauge* m_parked_peak_ = nullptr;
   obs::Gauge* m_queue_depth_ = nullptr;

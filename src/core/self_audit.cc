@@ -36,7 +36,7 @@ obs::WatchdogResult CheckLedger(const SelfAuditTargets& t) {
   }
   DelayScheduler* sched = t.db->delay_scheduler();
   if (sched != nullptr && sched->parked() > 0) {
-    return obs::WatchdogResult::Skipped("stalls parked on the wheel");
+    return obs::WatchdogResult::Skipped("stalls parked in the scheduler");
   }
   // The histogram starts empty at open, so compare it with the debt
   // charged since open, not with the recovered ledger base.
@@ -66,7 +66,7 @@ obs::WatchdogResult CheckParkedGauge(const SelfAuditTargets& t) {
   const obs::MetricSnapshot* g_before =
       before.Find("tarpit_scheduler_parked");
   if (g_before == nullptr) {
-    // Scheduler not instrumented (metrics wired without a wheel).
+    // Scheduler not instrumented (metrics wired without a scheduler).
     return obs::WatchdogResult::Ok();
   }
   const uint64_t internal = t.db->delay_scheduler()->parked();

@@ -34,7 +34,7 @@ struct SelfAuditTargets {
 ///    (failpoint concurrent_db.acct_skim) trips it within one pass.
 ///  * "parked-gauge" -- the tarpit_scheduler_parked gauge must agree
 ///    with the scheduler's internal parked() count (same double-read
-///    discipline; the gauge is written outside the wheel's lock).
+///    discipline; the gauge is written outside the scheduler's lock).
 ///  * "governor-budget" -- the governor's observed peaks must respect
 ///    its configured budgets: a peak over a nonzero cap means an
 ///    admission raced past shed-before-collapse.

@@ -57,7 +57,7 @@ class SessionManager {
   /// the stall scheduler: wire it to
   /// ConcurrentProtectedDatabase::CancelSession(token) so an evicted
   /// session's parked stalls complete (Cancelled) instead of holding
-  /// wheel entries until multi-hour expiries fire.
+  /// scheduler entries until multi-hour expiries fire.
   using EvictionHook = std::function<void(SessionToken, IdentityId)>;
   void set_eviction_hook(EvictionHook hook) {
     eviction_hook_ = std::move(hook);

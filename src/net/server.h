@@ -87,7 +87,7 @@ struct TarpitServerOptions {
 /// WRITE_RESPONSE. The request rides the database's async doors, so a
 /// delayed response parks the *connection* in the DelayScheduler: no
 /// thread is held, the fd stays registered (EPOLLRDHUP watches for
-/// hang-up), and a stalled extractor costs a timer-wheel entry plus an
+/// hang-up), and a stalled extractor costs a scheduler entry plus an
 /// idle fd. A client that hangs up mid-stall has its parked entry
 /// cancelled but KEEPS the delay charge (PR 2 semantics) and earns a
 /// reputation signal, so disconnect-and-retry gains nothing.

@@ -17,7 +17,7 @@ namespace obs {
 ///   kStatsLookup -- recording the access in the stats spine and
 ///                   reading back the popularity snapshot.
 ///   kDelayCompute-- policy math + striped delay accounting.
-///   kPark        -- stall service: wheel park (async) or inline sleep
+///   kPark        -- stall service: scheduler park (async) or inline sleep
 ///                   / blocking wait. Virtual clocks make this the
 ///                   *charged* time, real clocks the slept time.
 ///   kComplete    -- completion dispatch: callback/result delivery

@@ -115,7 +115,7 @@ TEST(ClockTest, DelayToMicrosDegenerateInputs) {
 
 TEST(ClockTest, VirtualSleepForSecondsAdvancesRoundedUp) {
   VirtualClock clock;
-  clock.SleepForSeconds(4e-7);  // Sub-microsecond: still costs a tick.
+  clock.SleepForSeconds(4e-7);  // Sub-microsecond: still costs 1 us.
   EXPECT_EQ(clock.NowMicros(), 1);
 }
 

@@ -447,10 +447,10 @@ TEST_F(ConcurrencyTest, SqlAndPointReadsShareOneSpine) {
             static_cast<uint64_t>(kThreads) * iters);
 }
 
-// --- Async stall scheduling (the ISSUE 2 timer-wheel path). -------------
+// --- Async stall scheduling (the DelayScheduler path). ------------------
 
 // A single caller submits far more stalling requests than the process
-// has threads: they all park on the wheel simultaneously instead of
+// has threads: they all park in the scheduler simultaneously instead of
 // each holding a thread for its stall.
 TEST_F(ConcurrencyTest, AsyncStallsParkInsteadOfBlocking) {
   ProtectedDatabaseOptions opts;
@@ -482,7 +482,7 @@ TEST_F(ConcurrencyTest, AsyncStallsParkInsteadOfBlocking) {
 }
 
 // The blocking API still works when async_stalls is on: it becomes a
-// park-and-wait shim over the same wheel.
+// park-and-wait shim over the same scheduler.
 TEST_F(ConcurrencyTest, BlockingShimServesFullStallThroughWheel) {
   ProtectedDatabaseOptions opts;
   opts.mode = DelayMode::kAccessPopularity;

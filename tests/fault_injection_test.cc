@@ -1017,7 +1017,7 @@ TEST(ResourceGovernorTest, ConcurrentDoorShedsAfterCharge) {
   }
 
   // Fill the only parking slot by hand, so the next stall MUST shed
-  // (deterministic: nothing depends on wheel timing).
+  // (deterministic: nothing depends on scheduler timing).
   ASSERT_TRUE(gov.AdmitStall(0).ok());
   auto r = (*cdb)->GetByKey(1);
   EXPECT_TRUE(r.status().IsOverloaded()) << r.status().ToString();
@@ -1118,7 +1118,7 @@ TEST(ResourceGovernorTest, ShutdownCancelledStallKeepsCharge) {
     EXPECT_EQ(m.delays_charged, 1u);
     EXPECT_GE(m.total_delay_seconds, 5.0);
     EXPECT_EQ(h->Count(), baseline);  // Not reported until completion.
-    // Destructor shuts the wheel down, cancelling the parked stall.
+    // Destructor shuts the scheduler down, cancelling the parked stall.
   }
   EXPECT_TRUE(completed.load());
   EXPECT_TRUE(cancelled.load());

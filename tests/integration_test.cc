@@ -139,7 +139,7 @@ TEST(SessionManagerTest, EvictionHookFiresOnEveryEnding) {
 // End-to-end eviction wiring: the session manager's eviction hook
 // feeds ConcurrentProtectedDatabase::CancelSession, so an evicted
 // session's hour-long parked stalls complete (Cancelled) immediately
-// instead of holding wheel entries until they expire.
+// instead of holding scheduler entries until they expire.
 TEST(SessionManagerTest, EvictionCancelsParkedStallsEndToEnd) {
   fs::path dir = fs::temp_directory_path() /
                  ("tarpit_evict_e2e_" + std::to_string(::getpid()));

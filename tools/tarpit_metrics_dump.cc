@@ -135,7 +135,7 @@ int main(int argc, char** argv) {
     opts.persist_counts = true;
     opts.count_cache_capacity = static_cast<size_t>(args.rows) / 4 + 1;
     ConcurrentDatabaseOptions copts;
-    copts.async_stalls = true;  // Virtual wheel: instant fire.
+    copts.async_stalls = true;  // Virtual clock: instant fire.
     copts.metrics = &registry;
     copts.trace_sink = &trace_sink;
     auto opened = ConcurrentProtectedDatabase::Open(

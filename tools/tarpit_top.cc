@@ -5,7 +5,7 @@
 // its own mixed workload -- a handful of benign Zipf readers plus one
 // extraction-shaped sequential scanner, all attributed principals
 // against a ConcurrentProtectedDatabase with real (small) stalls
-// parked on the timer wheel -- and renders one frame per poll: parked
+// parked in the stall scheduler -- and renders one frame per poll: parked
 // stalls, charged-delay p50/p99/p999, the top principals by
 // extraction-risk score, the watchdog's verdicts, and the event ring's
 // tallies. The extractor visibly climbs to the top of the risk board
@@ -205,7 +205,7 @@ int main(int argc, char** argv) {
   std::atomic<uint64_t> completed{0};
 
   for (int frame = 1; frame <= args.frames; ++frame) {
-    // Issue this frame's traffic; stalls park on the wheel and
+    // Issue this frame's traffic; stalls park in the scheduler and
     // complete on dispatcher threads while we render.
     auto fire = [&](const RequestPrincipal& who, int64_t key) {
       db->GetByKeyAsync(
@@ -227,8 +227,8 @@ int main(int argc, char** argv) {
     }
 
     // Render mid-flight (stalls are 1-60 ms, so waiting the whole
-    // interval would always show an idle wheel); sleep the remainder
-    // after the frame is out.
+    // interval would always show an idle scheduler); sleep the
+    // remainder after the frame is out.
     std::this_thread::sleep_for(
         std::chrono::duration<double>(args.interval * 0.05));
 
